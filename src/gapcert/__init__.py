@@ -11,133 +11,4 @@ coarse-graining of finite-range models) are all independently checkable at
 desk scale through the verifier entry points.
 """
 
-from gapcert.lattice import (
-    BoxRegion,
-    CountReport,
-    Edge,
-    LatticeGeometry,
-    PairClass,
-    box_edges,
-    box_sites,
-    canonical_site,
-    classify_pair,
-    count_boxes_containing,
-    grid_edges,
-    grid_sites,
-    periodic_edges,
-    sites,
-    verify_counting_lemma,
-)
-from gapcert.operators import (
-    CompositeOperator,
-    DimensionLimitError,
-    ManyBodyOperator,
-    NNInteraction,
-    TermDecomposition,
-    build_QR,
-    build_hamiltonian,
-    cauchy_schwarz_witness,
-    dense_matrix,
-    projection_check,
-    verify_square_identity,
-)
-from gapcert.spectral import (
-    EigenSolveConfig,
-    GapReport,
-    GapUndefinedError,
-    SolverConvergenceError,
-    check_operator_inequality,
-    is_frustration_free,
-    lowest_eigenvalues,
-    spectral_gap,
-)
-from gapcert.criteria import (
-    CriterionResult,
-    ScalingFit,
-    bound_gm,
-    bound_lm,
-    certify,
-    fit_power_law,
-    gap_scaling_fit,
-    implied_bound_main,
-    threshold_gm,
-    threshold_lm,
-    threshold_main,
-    verify_proposition_key,
-)
-from gapcert.coarsegrain import (
-    CoarseGrainedSpec,
-    FiniteRangeSpec,
-    InteractionShape,
-    MetaCube,
-    build_Cn_region,
-    build_HCn,
-    coarse_grain,
-    diam1,
-    gap_bound_fr,
-    validate_range,
-    verify_ground_space_preservation,
-)
-from gapcert import models
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxRegion",
-    "CompositeOperator",
-    "CoarseGrainedSpec",
-    "CountReport",
-    "CriterionResult",
-    "DimensionLimitError",
-    "Edge",
-    "EigenSolveConfig",
-    "FiniteRangeSpec",
-    "GapReport",
-    "GapUndefinedError",
-    "InteractionShape",
-    "LatticeGeometry",
-    "ManyBodyOperator",
-    "MetaCube",
-    "NNInteraction",
-    "PairClass",
-    "ScalingFit",
-    "SolverConvergenceError",
-    "TermDecomposition",
-    "bound_gm",
-    "bound_lm",
-    "box_edges",
-    "box_sites",
-    "build_Cn_region",
-    "build_HCn",
-    "build_QR",
-    "build_hamiltonian",
-    "canonical_site",
-    "cauchy_schwarz_witness",
-    "certify",
-    "check_operator_inequality",
-    "classify_pair",
-    "coarse_grain",
-    "count_boxes_containing",
-    "dense_matrix",
-    "diam1",
-    "fit_power_law",
-    "gap_bound_fr",
-    "gap_scaling_fit",
-    "grid_edges",
-    "grid_sites",
-    "implied_bound_main",
-    "is_frustration_free",
-    "lowest_eigenvalues",
-    "models",
-    "periodic_edges",
-    "projection_check",
-    "sites",
-    "spectral_gap",
-    "threshold_gm",
-    "threshold_lm",
-    "threshold_main",
-    "validate_range",
-    "verify_counting_lemma",
-    "verify_ground_space_preservation",
-    "verify_proposition_key",
-]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from gapcert.coarsegrain import (
-    CoarseKind,
     FiniteRangeSpec,
     coarse_grain,
     verify_ground_space_preservation,
@@ -51,12 +50,12 @@ from gapcert.lattice import (
     verify_counting_lemma,
 )
 from gapcert.models import (
-    MODELS,
     ModelFormatError,
     random_projection,
     resolve_model,
 )
 from gapcert.operators import (
+    DEFAULT_DENSE_LIMIT,
     DimensionLimitError,
     NNInteraction,
     cauchy_schwarz_witness,
@@ -69,7 +68,6 @@ from gapcert.spectral import (
     SolverConvergenceError,
 )
 
-DEFAULT_DENSE_LIMIT = 4096
 CSV_HEADER = (
     "model,D,n,boundary,gap,kernel_dim,threshold_main,threshold_gm,"
     "threshold_lm,margin_selected,runtime_ms"
@@ -287,21 +285,21 @@ def _verify_square_identity(cfg: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def cs_witnesses(d: int, samples: int, seed: int):
+def cs_witnesses(d: int, samples: int, seed: int, dense_limit: int = DEFAULT_DENSE_LIMIT):
     """Seeded random-projection pair witnesses for the Cauchy-Schwarz check."""
     ranks = d * d - 1
     out = []
     for i in range(samples):
         P1 = random_projection(d, 1 + i % ranks, seed + 2 * i)
         P2 = random_projection(d, 1 + (i + 1) % ranks, seed + 2 * i + 1)
-        out.append(cauchy_schwarz_witness(P1, P2))
+        out.append(cauchy_schwarz_witness(P1, P2, dense_limit))
     return out
 
 
 def _verify_cauchy_schwarz(cfg: RunConfig) -> int:
     if cfg.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
-    witnesses = cs_witnesses(cfg.d, cfg.samples, cfg.seed)
+    witnesses = cs_witnesses(cfg.d, cfg.samples, cfg.seed, cfg.resolved_dense_limit)
     wmin = min(witnesses)
     print(
         f"cauchy-schwarz: d={cfg.d}, {cfg.samples} random projection pairs, "
@@ -524,7 +522,7 @@ def build_parser() -> _Parser:
         "--dense-limit",
         type=int,
         default=None,
-        help="dense-path dimension threshold (default 4096; env GAPCERT_DENSE_LIMIT)",
+        help=f"dense solve/matrix dimension limit (default {DEFAULT_DENSE_LIMIT}; env GAPCERT_DENSE_LIMIT)",
     )
     common.add_argument("--seed", type=int, default=7, help="solver/RNG seed")
 

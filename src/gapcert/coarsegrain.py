@@ -31,7 +31,6 @@ import scipy.linalg
 from gapcert.operators import (
     DEFAULT_DENSE_LIMIT,
     DEFAULT_MATVEC_LIMIT,
-    PROJECTION_TOL,
     DimensionLimitError,
     ManyBodyOperator,
     dense_matrix,
@@ -160,14 +159,30 @@ class MetaCube:
         ]
 
 
+def _cube_sites(cubes, R: int):
+    """Sites of the cubes C(R*b), b in `cubes`, cube-major in the given order."""
+    return [s for b in cubes for s in MetaCube(tuple(R * c for c in b), R).sites]
+
+
+def _region_terms(spec: FiniteRangeSpec, region):
+    """(sites, projection) of every translate x+S lying inside the region."""
+    inside = set(region)
+    terms = []
+    for x in region:
+        for shape in spec.shapes:
+            sites = tuple(
+                tuple(x[i] + o[i] for i in range(3)) for o in shape.offsets
+            )
+            if all(s in inside for s in sites):
+                terms.append((sites, shape.projection))
+    return terms
+
+
 def build_Cn_region(n: int, R: int):
     """Sites of the union of the (n+1)^3 cubes C(R*b), b in [0, n]^3."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sites = []
-    for b in itertools.product(range(n + 1), repeat=3):
-        sites.extend(MetaCube(tuple(R * c for c in b), R).sites)
-    return sorted(sites)
+    return sorted(_cube_sites(itertools.product(range(n + 1), repeat=3), R))
 
 
 def build_HCn(spec: FiniteRangeSpec, n: int, matvec_limit: int = DEFAULT_MATVEC_LIMIT) -> ManyBodyOperator:
@@ -178,16 +193,7 @@ def build_HCn(spec: FiniteRangeSpec, n: int, matvec_limit: int = DEFAULT_MATVEC_
         raise DimensionLimitError(
             f"region dimension {spec.d}^{len(region)} exceeds limit {matvec_limit}"
         )
-    inside = set(region)
-    terms = []
-    for x in region:
-        for shape in spec.shapes:
-            sites = tuple(
-                tuple(x[i] + o[i] for i in range(3)) for o in shape.offsets
-            )
-            if all(s in inside for s in sites):
-                terms.append((sites, shape.projection))
-    return ManyBodyOperator(region, spec.d, terms)
+    return ManyBodyOperator(region, spec.d, _region_terms(spec, region))
 
 
 class CoarseKind(Enum):
@@ -270,8 +276,7 @@ class CoarseClass:
             # complement-of-kernel projection, entrywise exact
             M = H
         else:
-            vals, vecs = scipy.linalg.eigh(H)
-            V = vecs[:, vals <= KERNEL_CUT]
+            V = _kernel_basis(H)
             M = np.eye(dim, dtype=np.complex128) - V @ V.conj().T
             M = (M + M.conj().T) / 2
         self._matrix = M
@@ -386,42 +391,30 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
     with residual at most 1e-9.  Raises DimensionLimitError when the region
     dimension exceeds the dense limit.
     """
-    from gapcert.spectral import DEFAULT_CONFIG
-
-    config = config or DEFAULT_CONFIG
+    limit = config.dense_limit if config else DEFAULT_DENSE_LIMIT
     R = spec.R
     cube_set = sorted({_as_vec3(b) for b in cubes})
     if not cube_set:
         raise ValueError("region contains no cubes")
-    region = []
-    for b in cube_set:
-        region.extend(MetaCube(tuple(R * c for c in b), R).sites)
+    region = _cube_sites(cube_set, R)
     dim = spec.d ** len(region)
-    if dim > config.dense_limit:
-        max_sites = int(np.log(config.dense_limit) / np.log(spec.d))
+    if dim > limit:
+        max_sites = int(np.log(limit) / np.log(spec.d))
         raise DimensionLimitError(
             f"region dimension {spec.d}^{len(region)} exceeds dense limit "
-            f"{config.dense_limit}; at d={spec.d}, R={R} the dense check is "
+            f"{limit}; at d={spec.d}, R={R} the dense check is "
             f"feasible for at most {max_sites // R**3} cube(s)"
         )
 
-    inside = set(region)
-    orig_terms = []
-    for x in region:
-        for shape in spec.shapes:
-            sites = tuple(
-                tuple(x[i] + o[i] for i in range(3)) for o in shape.offsets
-            )
-            if all(s in inside for s in sites):
-                orig_terms.append((sites, shape.projection))
-    H_orig = dense_matrix(ManyBodyOperator(region, spec.d, orig_terms), limit=dim)
+    H_orig = dense_matrix(
+        ManyBodyOperator(region, spec.d, _region_terms(spec, region)), limit=dim
+    )
 
     cg = coarse_grain(spec)
     cube_index = set(cube_set)
-    h = (R - 1) // 2
     coarse_terms = []
     for cls in cg.classes:
-        M = cls.matrix(limit=config.dense_limit)
+        M = cls.matrix(limit=limit)
         shifts = {
             tuple(b[i] - c[i] for i in range(3))
             for b in cube_set
@@ -431,11 +424,7 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
             covered = [tuple(t[i] + c[i] for i in range(3)) for c in cls.block]
             if not all(b in cube_index for b in covered):
                 continue
-            sites = []
-            for b in covered:
-                center = tuple(R * c for c in b)
-                sites.extend(MetaCube(center, R).sites)
-            coarse_terms.append((tuple(sites), M))
+            coarse_terms.append((tuple(_cube_sites(covered, R)), M))
     H_cg = dense_matrix(ManyBodyOperator(region, spec.d, coarse_terms), limit=dim)
 
     V1 = _kernel_basis(H_orig)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from gapcert.lattice import (
     BoxRegion,
@@ -51,13 +50,14 @@ from gapcert.operators import (
     NNInteraction,
     build_QR,
     build_hamiltonian,
-    dense_matrix,
 )
 from gapcert.spectral import (
+    DEFAULT_CONFIG,
     KERNEL_TOL,
     EigenSolveConfig,
     GapReport,
     check_operator_inequality,
+    _eigensolve,
     lowest_eigenvalues,
     spectral_gap,
 )
@@ -367,7 +367,6 @@ def verify_proposition_key(
     N: int,
     config: EigenSolveConfig | None = None,
     tol: float = 1e-9,
-    matvec_limit: int = DEFAULT_MATVEC_LIMIT,
 ) -> PropKeyReport:
     """Check both operator inequalities for A = sum of squared box terms.
 
@@ -385,11 +384,11 @@ def verify_proposition_key(
     geom = LatticeGeometry(D=D, N=N)
     n_sites = geom.n_sites
     dim = model.d**n_sites
-    if dim > matvec_limit:
-        max_sites = int(math.log(matvec_limit, model.d))
+    if dim > DEFAULT_MATVEC_LIMIT:
+        max_sites = int(math.log(DEFAULT_MATVEC_LIMIT, model.d))
         raise DimensionLimitError(
             f"torus dimension {model.d}^{n_sites} exceeds matvec limit "
-            f"{matvec_limit}; at d={model.d} the witnesses are feasible for "
+            f"{DEFAULT_MATVEC_LIMIT}; at d={model.d} the witnesses are feasible for "
             f"at most {max_sites} sites, e.g. (2N)^D <= {max_sites}"
         )
     notes = []
@@ -401,14 +400,14 @@ def verify_proposition_key(
         )
 
     torus_sites = sites(geom)
-    dec = build_QR(model, periodic_edges(geom), torus_sites, matvec_limit)
+    dec = build_QR(model, periodic_edges(geom), torus_sites)
     H = dec.H
     Hc = CompositeOperator.from_operator(H)
 
     box_ops = []
     for base in torus_sites:
         edges = box_edges(BoxRegion(base=base, n=n), geom)
-        box_ops.append(build_hamiltonian(model, edges, torus_sites, matvec_limit))
+        box_ops.append(build_hamiltonian(model, edges, torus_sites))
     A = CompositeOperator(dim, [(1.0, (B, B)) for B in box_ops])
 
     gamma_box = subsystem_gap(model, D, n + 1, config=config).gap
@@ -458,12 +457,12 @@ def per_box_bound_witness(
     min over eigenvalues lam of lam*(lam - gamma_B), which is >= 0 exactly
     when no eigenvalue lies strictly between 0 and gamma_B.  Bounding the
     interior of the spectrum needs every eigenvalue, so this is dense-only
-    and boxes past the materialization cap are refused.
+    and boxes past config.dense_limit are refused.
     """
     H = build_hamiltonian(
         model, grid_edges(D, n + 1), grid_sites(D, n + 1)
     )
-    vals = scipy.linalg.eigvalsh(dense_matrix(H))
+    vals, _, _ = _eigensolve(H, config or DEFAULT_CONFIG, vectors=False)
     above = vals[vals > kernel_tol]
     if above.size == 0:
         raise ValueError("box Hamiltonian has no eigenvalue above the kernel tolerance")

@@ -114,10 +114,10 @@ def _shift(site, axis, delta, geometry):
     return canonical_site(moved, geometry)
 
 
-def periodic_edges(geometry: LatticeGeometry, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT):
+def periodic_edges(geometry: LatticeGeometry):
     """All D*(2N)^D edge slots of the torus, ordered by (tail, axis)."""
     out = []
-    for s in sites(geometry, enumeration_limit):
+    for s in sites(geometry):
         for a in range(geometry.D):
             out.append(Edge(s, _shift(s, a, +1, geometry), a))
     return out
@@ -194,12 +194,7 @@ def classify_pair(e1: Edge, e2: Edge) -> PairClass:
     return PairClass.DISJOINT
 
 
-def count_boxes_containing(
-    target,
-    n: int,
-    geometry: LatticeGeometry,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> int:
+def count_boxes_containing(target, n: int, geometry: LatticeGeometry) -> int:
     """Number of box translates containing all target edges, by brute force.
 
     `target` is a single Edge or an iterable of Edges.  Walks every translate
@@ -209,7 +204,7 @@ def count_boxes_containing(
     """
     edges = (target,) if isinstance(target, Edge) else tuple(target)
     count = 0
-    for base in sites(geometry, enumeration_limit):
+    for base in sites(geometry):
         slots = set(box_edges(BoxRegion(base, n), geometry))
         if all(e in slots for e in edges):
             count += 1
@@ -245,11 +240,7 @@ class CountReport:
         return not self.discrepancies
 
 
-def verify_counting_lemma(
-    n: int,
-    geometry: LatticeGeometry,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> CountReport:
+def verify_counting_lemma(n: int, geometry: LatticeGeometry) -> CountReport:
     """Check every box-containment count against its closed form.
 
     Per-edge counts and all vertex-sharing (aligned/bent) pairs are
@@ -264,10 +255,6 @@ def verify_counting_lemma(
     """
     D, N, side = geometry.D, geometry.N, geometry.side
     nsites = geometry.n_sites
-    if nsites > enumeration_limit:
-        raise ValueError(
-            f"torus with {nsites} translates exceeds enumeration limit {enumeration_limit}"
-        )
     if n < 1:
         raise ValueError(f"box side parameter must be >= 1, got {n}")
 
@@ -292,7 +279,8 @@ def verify_counting_lemma(
     if D == 1:
         report.notes.append("bent class skipped for D=1 (no bent pairs in one dimension)")
 
-    coords = np.array(sites(geometry), dtype=np.int64)  # (nsites, D) lexicographic
+    site_list = sites(geometry)  # lexicographic
+    coords = np.array(site_list, dtype=np.int64)
     strides = side ** np.arange(D - 1, -1, -1, dtype=np.int64)
 
     def site_index(arr):
@@ -312,9 +300,12 @@ def verify_counting_lemma(
     heads = site_index(coords[:, None, :] + unit[None, :, :])  # (nsites, D)
     tails_in = site_index(coords[:, None, :] - unit[None, :, :])
 
-    def endpoint_indices(slot):
-        t, a = slot
-        return (t, int(heads[t, a]))
+    # built once: classify_pair runs on every candidate pair below
+    edge = {
+        (t, a): Edge(site_list[t], site_list[heads[t, a]], a)
+        for t in range(nsites)
+        for a in range(D)
+    }
 
     # --- per-edge counts, exhaustive over all slots
     for slot, s in boxsets.items():
@@ -322,7 +313,7 @@ def verify_counting_lemma(
         report.edge_counts[cnt] += 1
         if cnt != edge_expected:
             report.discrepancies.append(
-                f"edge tail={tuple(int(c) for c in coords[slot[0]])} "
+                f"edge tail={site_list[slot[0]]} "
                 f"axis={slot[1]}: count {cnt} != {edge_expected}"
             )
 
@@ -330,10 +321,7 @@ def verify_counting_lemma(
         cnt = len(boxsets[slot1] & boxsets[slot2])
         t1, a1 = slot1
         t2, a2 = slot2
-        where = (
-            f"tails {tuple(int(c) for c in coords[t1])}"
-            f"/{tuple(int(c) for c in coords[t2])} axes {a1}/{a2}"
-        )
+        where = f"tails {site_list[t1]}/{site_list[t2]} axes {a1}/{a2}"
         if cls is PairClass.ALIGNED:
             report.aligned_counts[cnt] += 1
             if cnt != aligned_expected:
@@ -353,17 +341,6 @@ def verify_counting_lemma(
                     f"disjoint pair {where}: count {cnt} > bound {disjoint_bound}"
                 )
 
-    def classify_slots(slot1, slot2):
-        if slot1 == slot2:
-            return PairClass.SAME
-        p1, p2 = endpoint_indices(slot1), endpoint_indices(slot2)
-        shared = len(set(p1) & set(p2))
-        if shared == 2:
-            return PairClass.SAME
-        if shared == 1:
-            return PairClass.ALIGNED if slot1[1] == slot2[1] else PairClass.BENT
-        return PairClass.DISJOINT
-
     # --- vertex-sharing pairs, exhaustive via the star of every site
     seen = set()
     for t in range(nsites):
@@ -375,7 +352,7 @@ def verify_counting_lemma(
             if (slot1, slot2) in seen:
                 continue
             seen.add((slot1, slot2))
-            cls = classify_slots(slot1, slot2)
+            cls = classify_pair(edge[slot1], edge[slot2])
             if cls is PairClass.SAME:
                 report.notes.append(
                     f"doubled slot pair at site index {t} skipped (side-2 wrap)"
@@ -390,7 +367,7 @@ def verify_counting_lemma(
         for a2 in range(D):
             for t2 in range(nsites):
                 slot2 = (t2, a2)
-                if classify_slots(slot1, slot2) is PairClass.DISJOINT:
+                if classify_pair(edge[slot1], edge[slot2]) is PairClass.DISJOINT:
                     check_pair(slot1, slot2, PairClass.DISJOINT)
 
     return report

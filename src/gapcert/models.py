@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,11 +40,11 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    """Registry entry: name, local dimension, construction parameters."""
+    """Registry entry: name, local dimension, and a factory taking the range R."""
 
     name: str
     d: int
-    params: tuple = ()
+    factory: Callable
     note: str = ""
 
 
@@ -104,14 +105,21 @@ def heisenberg_ferro_fr(R: int = 1) -> FiniteRangeSpec:
 
 MODELS = {
     "heisenberg-ferro": ModelDescriptor(
-        name="heisenberg-ferro", d=2, note="two-site singlet projector; gapless"
+        name="heisenberg-ferro",
+        d=2,
+        factory=lambda R: heisenberg_ferro(),
+        note="two-site singlet projector; gapless",
     ),
     "aklt": ModelDescriptor(
-        name="aklt", d=3, note="spin-2 projector on two spin-1 sites; gapped"
+        name="aklt",
+        d=3,
+        factory=lambda R: aklt(),
+        note="spin-2 projector on two spin-1 sites; gapped",
     ),
     "heisenberg-ferro-fr": ModelDescriptor(
         name="heisenberg-ferro-fr",
         d=2,
+        factory=heisenberg_ferro_fr,
         note="ferro singlet projector as a finite-range spec (one shape per axis)",
     ),
 }
@@ -119,16 +127,12 @@ MODELS = {
 
 def build_model(name: str, R: int | None = None):
     """Instantiate a registry model; finite-range entries take the range R."""
-    if name == "heisenberg-ferro":
-        return heisenberg_ferro()
-    if name == "aklt":
-        return aklt()
-    if name == "heisenberg-ferro-fr":
-        return heisenberg_ferro_fr(R if R is not None else 1)
-    raise ValueError(
-        f"unknown model {name!r}; registry has {sorted(MODELS)} "
-        f"(or pass a model file path)"
-    )
+    if name not in MODELS:
+        raise ValueError(
+            f"unknown model {name!r}; registry has {sorted(MODELS)} "
+            f"(or pass a model file path)"
+        )
+    return MODELS[name].factory(R if R is not None else 1)
 
 
 def resolve_model(selector: str, R: int | None = None):

@@ -24,7 +24,7 @@ import numpy as np
 from gapcert.lattice import PairClass, classify_pair
 
 DEFAULT_MATVEC_LIMIT = 2**28
-DEFAULT_DENSE_LIMIT = 2**14
+DEFAULT_DENSE_LIMIT = 4096  # largest dimension solved or materialized densely
 PROJECTION_TOL = 1e-12
 
 

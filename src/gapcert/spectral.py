@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
-from gapcert.operators import CompositeOperator, dense_matrix
+from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, dense_matrix
 
 KERNEL_TOL = 1e-8
 # Largest |Im| of a Ritz value, relative to the spectrum's scale, that is taken
@@ -50,16 +50,16 @@ class EigenSolveConfig:
     """Eigensolver knobs; identical config + seed gives identical output.
 
     tol = 0 means machine precision for the iterative path.  dense_limit is
-    the dimension at or below which the dense path is used.  max_k caps the
-    adaptive escalation of k in spectral_gap.
+    the dimension at or below which the dense path is used, and the largest
+    matrix a dense-only witness materializes.  max_k caps the adaptive
+    escalation of k in spectral_gap.
     """
 
     k: int = 8
     tol: float = 0.0
     max_iter: int | None = None
-    ncv: int | None = None
     seed: int = 7
-    dense_limit: int = 4096
+    dense_limit: int = DEFAULT_DENSE_LIMIT
     max_k: int = 64
 
     def __post_init__(self):
@@ -110,33 +110,29 @@ def _real_ritz(op, vals, v0):
     return vals.real
 
 
-def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
-    """The k smallest eigenvalues of a Hermitian operator, with residuals.
+def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: bool = True):
+    """Ascending eigenvalues of a Hermitian operator, with eigenvectors.
 
-    Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float.
-    Dense path below config.dense_limit; ARPACK otherwise.  An ARPACK run
-    that stops before all k pairs converge raises SolverConvergenceError:
-    the pairs it did converge are not known to be the lowest, so they are
-    never returned.
+    Returns (vals, vecs, method).  Dimensions up to config.dense_limit, and
+    every call with k=None (the whole spectrum), are materialized and solved
+    by dense eigh: all eigenvalues, DimensionLimitError past the limit.
+    Otherwise ARPACK returns the k lowest.  vectors=False skips the
+    eigenvectors on the dense path (vecs is then None).
     """
-    config = config or DEFAULT_CONFIG
     dim = op.dimension
-    k = min(config.k, dim)
-
-    if dim <= config.dense_limit:
-        A = dense_matrix(op, limit=dim)
+    if k is None or dim <= config.dense_limit:
+        A = dense_matrix(op, limit=config.dense_limit)
+        if not vectors:
+            return scipy.linalg.eigvalsh(A), None, "dense"
         vals, vecs = scipy.linalg.eigh(A)
-        vals, vecs = vals[:k], vecs[:, :k]
-        return list(zip(vals.tolist(), _residuals(op, vals, vecs)))
+        return vals, vecs, "dense"
 
-    if k > dim - 2:
+    if not 0 < k <= dim - 2:
         # eigsh cannot take k >= dim-1 for a matrix-free operator
-        raise ValueError(f"iterative path needs k <= dimension-2, got k={k}, dim={dim}")
+        raise ValueError(f"iterative path needs 1 <= k <= dimension-2, got k={k}, dim={dim}")
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    ncv = config.ncv or min(dim, max(2 * k + 16, 52))
-    ncv = max(ncv, k + 2)
     lin = LinearOperator(
         (dim, dim), matvec=op.apply, dtype=np.complex128
     )
@@ -147,7 +143,7 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
             k=k,
             which="SA",
             v0=v0,
-            ncv=ncv,
+            ncv=min(dim, max(2 * k + 16, 52)),
             maxiter=maxiter,
             tol=config.tol,
         )
@@ -166,63 +162,64 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
         ) from exc
     vals = _real_ritz(op, vals, v0)
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], "iterative"
+
+
+def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
+    """The k smallest eigenvalues of a Hermitian operator, with residuals.
+
+    Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float.
+    Dense path below config.dense_limit; ARPACK otherwise.  An ARPACK run
+    that stops before all k pairs converge raises SolverConvergenceError:
+    the pairs it did converge are not known to be the lowest, so they are
+    never returned.
+    """
+    config = config or DEFAULT_CONFIG
+    k = min(config.k, op.dimension)
+    vals, vecs, _ = _eigensolve(op, config, k)
+    vals, vecs = vals[:k], vecs[:, :k]
     return list(zip(vals.tolist(), _residuals(op, vals, vecs)))
 
 
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
     """Smallest eigenvalue above kernel_tol, escalating k until one is found.
 
-    k doubles (capped at config.max_k, and at the dimension) while every
-    computed eigenvalue sits at or below kernel_tol.  Dense solves see the
-    whole spectrum at once, so no escalation is needed there.
+    Dense solves see the whole spectrum at once and report
+    max(config.k, kernel_dim + 1) eigenvalues.  On the iterative path k
+    starts at config.k and doubles while every computed eigenvalue sits at
+    or below kernel_tol, capped at config.max_k and at the dimension - 2.
     """
     config = config or DEFAULT_CONFIG
     dim = op.dimension
-
-    if dim <= config.dense_limit:
-        A = dense_matrix(op, limit=dim)
-        vals, vecs = scipy.linalg.eigh(A)
+    top = min(config.max_k, dim - 2)
+    k = min(max(config.k, 2), top)
+    while True:
+        vals, vecs, method = _eigensolve(op, config, k)
         kernel_dim = int(np.sum(vals <= kernel_tol))
-        if kernel_dim == dim:
+        if kernel_dim < len(vals):
+            break
+        if method == "dense":
             raise GapUndefinedError(
                 f"all {dim} eigenvalues lie within kernel tolerance {kernel_tol}"
             )
-        k = min(max(config.k, kernel_dim + 1), dim)
-        report_vals = vals[:k]
-        report_vecs = vecs[:, :k]
-        return GapReport(
-            eigenvalues=report_vals.tolist(),
-            residuals=_residuals(op, report_vals, report_vecs),
-            kernel_dim=kernel_dim,
-            gap=float(vals[kernel_dim]),
-            kernel_tol=kernel_tol,
-            method="dense",
-            k_used=k,
-        )
-
-    k = max(config.k, 2)
-    while True:
-        pairs = lowest_eigenvalues(op, replace(config, k=k))
-        vals = [v for v, _ in pairs]
-        above = [v for v in vals if v > kernel_tol]
-        if above:
-            kernel_dim = len(vals) - len(above)
-            return GapReport(
-                eigenvalues=vals,
-                residuals=[r for _, r in pairs],
-                kernel_dim=kernel_dim,
-                gap=float(min(above)),
-                kernel_tol=kernel_tol,
-                method="iterative",
-                k_used=k,
-            )
-        if k >= min(config.max_k, dim - 2):
+        if k >= top:
             raise GapUndefinedError(
-                f"all {len(vals)} computed eigenvalues lie within kernel tolerance "
+                f"all {k} computed eigenvalues lie within kernel tolerance "
                 f"{kernel_tol} after escalating k to {k}"
             )
-        k = min(2 * k, config.max_k, dim - 2)
+        k = min(2 * k, top)
+    if method == "dense":
+        k = min(max(config.k, kernel_dim + 1), dim)
+        vals, vecs = vals[:k], vecs[:, :k]
+    return GapReport(
+        eigenvalues=vals.tolist(),
+        residuals=_residuals(op, vals, vecs),
+        kernel_dim=kernel_dim,
+        gap=float(vals[kernel_dim]),
+        kernel_tol=kernel_tol,
+        method=method,
+        k_used=len(vals),
+    )
 
 
 def is_frustration_free(op, tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from gapcert.cli import CSV_HEADER, RunConfig, cs_witnesses, main
 from gapcert.models import save_model
 from gapcert.operators import NNInteraction
+from gapcert.spectral import EigenSolveConfig
 
 
 def run(capsys, *argv):
@@ -48,6 +49,19 @@ class TestGap:
         )
         assert rc == 0
         assert "method: dense" in out
+
+    def test_iterative_start_k_capped_below_dimension(self, capsys):
+        # 8 states: ARPACK takes at most k = 6, so the default k = 8 is capped
+        rc, out, err = run(
+            capsys, "gap", "--model", "heisenberg-ferro", "--n", "2", "--dense-limit", "1"
+        )
+        assert rc == 0, err
+        assert "gap: 0.5\n" in out
+        assert "method: iterative" in out
+
+    def test_one_default_dense_limit(self, monkeypatch):
+        monkeypatch.delenv("GAPCERT_DENSE_LIMIT", raising=False)
+        assert EigenSolveConfig().dense_limit == RunConfig(command="gap").resolved_dense_limit
 
     def test_bad_env_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("GAPCERT_DENSE_LIMIT", "lots")
@@ -184,6 +198,21 @@ class TestVerify:
         assert rc == 0
         assert "box side 3" in out
         assert out.strip().endswith("PASS")
+
+    def test_per_box_dense_limit(self, capsys):
+        rc, out, err = run(
+            capsys, "verify", "per-box", "--model", "heisenberg-ferro", "--D", "2", "--n", "2",
+            "--dense-limit", "16",
+        )
+        assert rc == 3
+        assert "dense limit" in err
+        assert "PASS" not in out
+
+    def test_cauchy_schwarz_dense_limit(self, capsys):
+        rc, out, err = run(capsys, "verify", "cauchy-schwarz", "--d", "3", "--dense-limit", "8")
+        assert rc == 3
+        assert "dense limit" in err
+        assert "PASS" not in out
 
     def test_coarse_grain_identity(self, capsys):
         rc, out, _ = run(

@@ -23,6 +23,7 @@ from gapcert.criteria import (
 )
 from gapcert.models import aklt, heisenberg_ferro, random_projection
 from gapcert.operators import DimensionLimitError, NNInteraction
+from gapcert.spectral import EigenSolveConfig
 
 FERRO = heisenberg_ferro()
 
@@ -195,6 +196,11 @@ class TestPerBoxWitness:
         # 3^9 x 3^9 -- once the box passes the dense cap
         with pytest.raises(DimensionLimitError, match="dense limit"):
             per_box_bound_witness(aklt(), 2, 2)
+
+    def test_box_past_config_dense_limit_refused(self):
+        # the 3x3 ferro box has 512 states; the caller's limit governs
+        with pytest.raises(DimensionLimitError, match="dense limit"):
+            per_box_bound_witness(FERRO, 2, 2, config=EigenSolveConfig(dense_limit=256))
 
 
 class TestAlignedPair:
