@@ -437,11 +437,3 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
     r21 = np.linalg.norm(V2 - V1 @ (V1.conj().T @ V2), ord=2)
     return max(r12, r21) <= SUBSPACE_TOL
 
-
-def gap_bound_fr(gamma_Cn: float, n: int, c1: float, c2: float) -> float:
-    """Finite-range gap bound c1 * (gamma_Cn - c2/n); constants caller-supplied."""
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError(f"constants must be positive, got c1={c1}, c2={c2}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return c1 * (gamma_Cn - c2 / n)

@@ -2,10 +2,14 @@
 
 A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
-Operators are kept matrix-free: a term list plus index arithmetic for the
-matvec.  Basis convention: site order follows the site list, with the first
-site the most significant tensor factor, i.e. basis index
-sum_i s_i * d^(m-1-i) -- the layout np.kron produces.
+An operator is a term list.  Every solver works on one representation, a
+scipy.sparse CSR matrix assembled once per operator by index arithmetic on
+the tensor basis: float64 when every term is exactly real, complex128
+otherwise.  The matrix-free matvec (`apply`) stays as an independent path
+for residuals and for the sequential products the verifiers apply.  Basis
+convention: site order follows the site list, with the first site the most
+significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) -- the
+layout np.kron produces.
 
 Squaring H = sum_e h_e with h_e^2 = h_e gives H^2 = H + Q + R, where Q
 collects anticommutators {h_e, h_e'} of touching distinct edge pairs and R
@@ -17,9 +21,11 @@ represented lazily as products applied by sequential matvecs.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from gapcert.lattice import PairClass, classify_pair
 
@@ -81,6 +87,50 @@ def _pair_bit_groups(dim: int, b_hi: int, b_lo: int):
     )
 
 
+def _embedded_term(M, pos, m: int, d: int):
+    """CSR of the d^k x d^k matrix M on the tensor factors `pos` of m sites.
+
+    Entry (a, b) of M lands at (base + off[a], base + off[b]) for every basis
+    index `base` whose digits at `pos` are zero.
+    """
+    strides = d ** (m - 1 - np.arange(m, dtype=np.intp))
+    base = np.zeros(1, dtype=np.intp)
+    for i in sorted(set(range(m)) - set(pos)):
+        base = (base[:, None] + strides[i] * np.arange(d)).ravel()
+    digits = np.unravel_index(np.arange(M.shape[0]), (d,) * len(pos))
+    off = np.zeros(M.shape[0], dtype=np.intp)
+    for p, digit in zip(pos, digits):
+        off += strides[p] * digit
+    dim = d**m
+    # scipy keeps the index dtype it is given; int32 halves the index bytes
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    a, b = np.nonzero(M)
+    rows = (off[a][:, None] + base).astype(index).ravel()
+    cols = (off[b][:, None] + base).astype(index).ravel()
+    data = np.repeat(M[a, b], base.size)
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
+
+
+def _sum_csr(dimension: int, matrices):
+    """Sum of CSR matrices, consumed one at a time, by pairwise merges.
+
+    Partial sums of equal rank merge as in a binary counter, so n summands
+    cost O(nnz log n) work and at most log2(n) partial sums are alive at
+    once; no triplet list of all summands is ever built.
+    """
+    stack = []
+    for A in matrices:
+        rank = 0
+        while stack and stack[-1][0] == rank:
+            A = stack.pop()[1] + A
+            rank += 1
+        stack.append((rank, A))
+    out = scipy.sparse.csr_array((dimension, dimension), dtype=np.float64)
+    for _, A in reversed(stack):
+        out = out + A
+    return out
+
+
 class ManyBodyOperator:
     """Hermitian sum of local terms embedded on an ordered site list.
 
@@ -110,6 +160,7 @@ class ManyBodyOperator:
                 )
             self._positions.append(pos)
             self._mats.append(M)
+        self._csr = None
 
     @property
     def terms(self):
@@ -121,6 +172,24 @@ class ManyBodyOperator:
     @property
     def n_terms(self) -> int:
         return len(self._mats)
+
+    def sparse(self):
+        """The operator as a CSR matrix, assembled on first use and kept.
+
+        float64 when every term's imaginary part is exactly zero, else
+        complex128.
+        """
+        if self._csr is None:
+            real = not any(M.imag.any() for M in self._mats)
+            m, d = len(self.site_list), self.d
+            self._csr = _sum_csr(
+                self.dimension,
+                (
+                    _embedded_term(M.real if real else M, pos, m, d)
+                    for pos, M in zip(self._positions, self._mats)
+                ),
+            )
+        return self._csr
 
     def apply(self, v):
         """Matvec; accepts a vector (dim,) or a column batch (dim, nb)."""
@@ -174,6 +243,7 @@ class CompositeOperator:
                 if f.dimension != self.dimension:
                     raise ValueError("factor dimension mismatch")
             self.parts.append((float(coeff), factors))
+        self._csr = None
 
     @classmethod
     def from_operator(cls, op, coeff: float = 1.0):
@@ -194,6 +264,18 @@ class CompositeOperator:
                 w = f.apply(w)
             out += coeff * w
         return out
+
+    def sparse(self):
+        """CSR of sum of coeff * (product of the factors' CSR), kept after first use."""
+        if self._csr is None:
+            self._csr = _sum_csr(
+                self.dimension,
+                (
+                    coeff * functools.reduce(operator.matmul, (f.sparse() for f in factors))
+                    for coeff, factors in self.parts
+                ),
+            )
+        return self._csr
 
     def __matmul__(self, v):
         return self.apply(v)
@@ -294,18 +376,11 @@ def build_QR(
 
 
 def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Materialize the operator by applying it to identity columns."""
+    """The operator's CSR as a dense array, refused past `limit`."""
     dim = op.dimension
     if dim > limit:
         raise DimensionLimitError(f"dimension {dim} exceeds dense limit {limit}")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    step = max(1, min(dim, (2**22) // max(dim, 1)))
-    for j0 in range(0, dim, step):
-        nb = min(step, dim - j0)
-        block = np.zeros((dim, nb), dtype=np.complex128)
-        block[j0 + np.arange(nb), np.arange(nb)] = 1.0
-        out[:, j0 : j0 + nb] = op.apply(block)
-    return out
+    return op.sparse().toarray()
 
 
 @dataclass

@@ -2,24 +2,27 @@
 
 The gap of a positive-semidefinite operator is its smallest eigenvalue
 strictly above the kernel tolerance; kernel multiplicity never enters.
-Dimensions up to `dense_limit` go through a full Hermitian
-eigendecomposition; larger ones use ARPACK's implicitly restarted Lanczos
-(which='SA') on the matrix-free operator, with a seeded start vector for
-determinism and a widened Krylov basis to resolve the clustered
-near-zero spectra frustration-free Hamiltonians produce.  In the iterative
-path the reported kernel dimension is an estimate: Lanczos may not resolve
-the full multiplicity of a degenerate kernel even when the gap itself is
-converged well past the requested tolerance.
+Every solve works on the operator's CSR matrix (`op.sparse()`), real when
+the model is real.  Dimensions up to `dense_limit` are densified and solved
+by Hermitian `eigh` for only the lowest pairs asked for; larger ones use
+ARPACK's implicitly restarted Lanczos (which='SA') on the CSR itself, with
+a seeded start vector for determinism and a widened Krylov basis to
+resolve the clustered near-zero spectra frustration-free Hamiltonians
+produce.  Residuals come from the matrix-free `apply`, a path independent
+of the CSR assembly.  In the iterative path the reported kernel dimension
+is an estimate: Lanczos may not resolve the full multiplicity of a
+degenerate kernel even when the gap itself is converged well past the
+requested tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, dense_matrix
 
@@ -114,32 +117,34 @@ def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: boo
     """Ascending eigenvalues of a Hermitian operator, with eigenvectors.
 
     Returns (vals, vecs, method).  Dimensions up to config.dense_limit, and
-    every call with k=None (the whole spectrum), are materialized and solved
-    by dense eigh: all eigenvalues, DimensionLimitError past the limit.
-    Otherwise ARPACK returns the k lowest.  vectors=False skips the
-    eigenvectors on the dense path (vecs is then None).
+    every call with k=None (the whole spectrum), densify the CSR and run
+    dense eigh for the k lowest pairs (all of them when k=None);
+    DimensionLimitError past the limit.  Otherwise ARPACK returns the k
+    lowest.  vectors=False skips the eigenvectors on the dense path (vecs is
+    then None).
     """
     dim = op.dimension
     if k is None or dim <= config.dense_limit:
         A = dense_matrix(op, limit=config.dense_limit)
+        subset = None if k is None or k >= dim else [0, k - 1]
         if not vectors:
-            return scipy.linalg.eigvalsh(A), None, "dense"
-        vals, vecs = scipy.linalg.eigh(A)
+            return scipy.linalg.eigvalsh(A, subset_by_index=subset), None, "dense"
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=subset)
         return vals, vecs, "dense"
 
     if not 0 < k <= dim - 2:
-        # eigsh cannot take k >= dim-1 for a matrix-free operator
+        # ARPACK needs k < dim - 1 (eigs, which complex operators go through)
         raise ValueError(f"iterative path needs 1 <= k <= dimension-2, got k={k}, dim={dim}")
+    A = op.sparse()
     rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v0 = rng.standard_normal(dim)
+    if np.iscomplexobj(A):
+        v0 = v0 + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    lin = LinearOperator(
-        (dim, dim), matvec=op.apply, dtype=np.complex128
-    )
     maxiter = config.max_iter or 20000
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            lin,
+            A,
             k=k,
             which="SA",
             v0=v0,
@@ -184,33 +189,41 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
     """Smallest eigenvalue above kernel_tol, escalating k until one is found.
 
-    Dense solves see the whole spectrum at once and report
-    max(config.k, kernel_dim + 1) eigenvalues.  On the iterative path k
-    starts at config.k and doubles while every computed eigenvalue sits at
-    or below kernel_tol, capped at config.max_k and at the dimension - 2.
+    A dense solve computes the lowest max(config.k, config.max_k) pairs at
+    once (a subset eigh costs about the same for any such count), falls back
+    to the whole spectrum only when all of them lie in the kernel, and
+    reports max(config.k, kernel_dim + 1) eigenvalues.  On the iterative
+    path k starts at config.k and doubles while every computed eigenvalue
+    sits at or below kernel_tol, capped at config.max_k and at the
+    dimension - 2.
     """
     config = config or DEFAULT_CONFIG
     dim = op.dimension
-    top = min(config.max_k, dim - 2)
-    k = min(max(config.k, 2), top)
-    while True:
-        vals, vecs, method = _eigensolve(op, config, k)
+    if dim <= config.dense_limit:
+        vals, vecs, method = _eigensolve(op, config, min(dim, max(config.k, config.max_k)))
+        if vals[-1] <= kernel_tol and len(vals) < dim:
+            vals, vecs, method = _eigensolve(op, config)
         kernel_dim = int(np.sum(vals <= kernel_tol))
-        if kernel_dim < len(vals):
-            break
-        if method == "dense":
+        if kernel_dim == len(vals):
             raise GapUndefinedError(
                 f"all {dim} eigenvalues lie within kernel tolerance {kernel_tol}"
             )
-        if k >= top:
-            raise GapUndefinedError(
-                f"all {k} computed eigenvalues lie within kernel tolerance "
-                f"{kernel_tol} after escalating k to {k}"
-            )
-        k = min(2 * k, top)
-    if method == "dense":
-        k = min(max(config.k, kernel_dim + 1), dim)
+        k = max(config.k, kernel_dim + 1)
         vals, vecs = vals[:k], vecs[:, :k]
+    else:
+        top = min(config.max_k, dim - 2)
+        k = min(max(config.k, 2), top)
+        while True:
+            vals, vecs, method = _eigensolve(op, config, k)
+            kernel_dim = int(np.sum(vals <= kernel_tol))
+            if kernel_dim < len(vals):
+                break
+            if k >= top:
+                raise GapUndefinedError(
+                    f"all {k} computed eigenvalues lie within kernel tolerance "
+                    f"{kernel_tol} after escalating k to {k}"
+                )
+            k = min(2 * k, top)
     return GapReport(
         eigenvalues=vals.tolist(),
         residuals=_residuals(op, vals, vecs),
@@ -220,14 +233,6 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
         method=method,
         k_used=len(vals),
     )
-
-
-def is_frustration_free(op, tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> bool:
-    """True iff the lowest eigenvalue is <= tol (the operator has a kernel)."""
-    config = config or DEFAULT_CONFIG
-    k = min(4, config.k)
-    pairs = lowest_eigenvalues(op, replace(config, k=k))
-    return pairs[0][0] <= tol
 
 
 def check_operator_inequality(

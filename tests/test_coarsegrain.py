@@ -14,7 +14,6 @@ from gapcert.coarsegrain import (
     coarse_grain,
     cube_of,
     diam1,
-    gap_bound_fr,
     metacube_adjacency_counts,
     validate_range,
     verify_ground_space_preservation,
@@ -184,15 +183,3 @@ class TestGroundSpacePreservation:
                 heisenberg_ferro_fr(R=3), [(0, 0, 0), (1, 0, 0)]
             )
 
-
-class TestGapBound:
-    def test_value(self):
-        assert_allclose(gap_bound_fr(1.0, 4, 0.5, 2.0), 0.25, rtol=1e-14)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            gap_bound_fr(1.0, 0, 0.5, 2.0)
-        with pytest.raises(ValueError):
-            gap_bound_fr(1.0, 4, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            gap_bound_fr(1.0, 4, 0.5, -2.0)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gapcert.coarsegrain import FiniteRangeSpec, InteractionShape, build_HCn
 from gapcert.lattice import LatticeGeometry, grid_edges, grid_sites, periodic_edges, sites
-from gapcert.models import heisenberg_ferro, random_projection
+from gapcert.models import aklt, heisenberg_ferro, heisenberg_ferro_fr, random_projection
 from gapcert.operators import (
     CompositeOperator,
     DimensionLimitError,
@@ -178,6 +181,69 @@ class TestCompositeOperator:
             CompositeOperator.from_operator(H3) + CompositeOperator.from_operator(H4)
         with pytest.raises(ValueError):
             CompositeOperator(8, [(1.0, (H4,))])
+
+
+def identity_columns(op):
+    """The operator through the matrix-free path, one identity column at a time."""
+    return op.apply(np.eye(op.dimension, dtype=complex))
+
+
+def assert_sparse_matches_apply(op):
+    assert_allclose(op.sparse().toarray(), identity_columns(op), rtol=0, atol=1e-13)
+
+
+class TestSparse:
+    def test_pair_tail_after_head(self):
+        # the term's first factor sits later in the site list than its second
+        chain = [(0,), (1,), (2,), (3,)]
+        M = np.random.default_rng(7).standard_normal((4, 4))
+        op = ManyBodyOperator(chain, 2, [(((3,), (1,)), M + M.T)])
+        assert_sparse_matches_apply(op)
+
+    def test_real_models_are_float64(self):
+        ferro = build_hamiltonian(FERRO, grid_edges(1, 6), grid_sites(1, 6))
+        chain = build_hamiltonian(aklt(), grid_edges(1, 5), grid_sites(1, 5))
+        for H in (ferro, chain):
+            assert H.sparse().dtype == np.float64
+            assert dense_matrix(H).dtype == np.float64
+            assert_sparse_matches_apply(H)
+
+    def test_three_site_terms(self):
+        # an L-shaped three-site term: the ferro-fr singlet on two legs, the
+        # identity on the third
+        P = heisenberg_ferro_fr(R=1).shapes[0].projection
+        shape = InteractionShape(((0, 0, 0), (1, 0, 0), (0, 1, 0)), np.kron(P, I2))
+        H = build_HCn(FiniteRangeSpec(d=2, shapes=(shape,), R=1), 1)
+        assert {len(sites_of_term) for sites_of_term, _ in H.terms} == {3}
+        assert H.sparse().dtype == np.float64
+        assert_sparse_matches_apply(H)
+
+    def test_random_projection_is_complex(self):
+        model = random_projection(3, 2, seed=4)
+        H = build_hamiltonian(model, grid_edges(1, 4, periodic=True), grid_sites(1, 4))
+        assert H.sparse().dtype == np.complex128
+        assert_sparse_matches_apply(H)
+
+    def test_composite_products_and_negative_coefficients(self):
+        dec = build_QR(random_projection(2, 1, seed=3), grid_edges(1, 4), grid_sites(1, 4))
+        C = 2.0 * CompositeOperator.from_operator(dec.H) - dec.Q - 0.5 * dec.R
+        assert any(len(factors) == 2 for _, factors in C.parts)
+        assert any(coeff < 0 for coeff, _ in C.parts)
+        assert_sparse_matches_apply(C)
+        cH = CompositeOperator.from_operator(dec.H)
+        assert_sparse_matches_apply(cH - cH)
+
+    @given(st.permutations(range(5)))
+    @settings(max_examples=30, deadline=None)
+    def test_any_site_order(self, order):
+        chain = grid_sites(1, 5)
+        rng = np.random.default_rng(11)
+        terms = [
+            (tuple(chain[i] for i in picked), rng.standard_normal((2 ** len(picked),) * 2))
+            for picked in ((0,), (1, 2), (4, 0), (3, 1, 4))
+        ]
+        op = ManyBodyOperator([chain[i] for i in order], 2, terms)
+        assert_sparse_matches_apply(op)
 
 
 class TestBuildHamiltonian:

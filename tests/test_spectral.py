@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import heisenberg_ferro
-from gapcert.operators import CompositeOperator, ManyBodyOperator, build_hamiltonian
+from gapcert.operators import CompositeOperator, ManyBodyOperator, build_hamiltonian, dense_matrix
 from gapcert.spectral import (
     EigenSolveConfig,
     GapUndefinedError,
     SolverConvergenceError,
     check_operator_inequality,
-    is_frustration_free,
     lowest_eigenvalues,
     spectral_gap,
 )
@@ -148,14 +148,28 @@ class TestSpectralGap:
             )
 
 
-class TestFrustrationFree:
-    def test_ferro_is_ff(self):
-        assert is_frustration_free(ferro_chain(5))
+class TestDenseSubset:
+    def test_kernel_wider_than_k(self):
+        # the 11-fold kernel of the 10-site chain exceeds k = 8, so the report
+        # widens to kernel_dim + 1 pairs, all from one subset solve
+        H = ferro_chain(10)
+        rep = spectral_gap(H, config=EigenSolveConfig(k=8))
+        assert rep.method == "dense"
+        assert rep.kernel_dim == 11
+        assert rep.k_used == 12
+        full = scipy.linalg.eigh(dense_matrix(H), eigvals_only=True)
+        assert_allclose(rep.eigenvalues, full[:12], rtol=0, atol=1e-12)
 
-    def test_shifted_is_not(self):
-        H = ferro_chain(3)
-        ident = ManyBodyOperator(H.site_list, 2, [(((0,),), np.eye(2, dtype=complex))])
-        assert not is_frustration_free(CompositeOperator.from_operator(H) + ident)
+    def test_full_spectrum_fallback(self):
+        # the max_k = 4 lowest pairs all lie in the 8-fold kernel
+        rep = spectral_gap(ferro_chain(7), config=EigenSolveConfig(max_k=4))
+        assert rep.method == "dense"
+        assert rep.kernel_dim == 8
+        assert_allclose(rep.gap, 0.0990311320976, rtol=0, atol=1e-12)
+
+    def test_all_kernel_after_fallback(self):
+        with pytest.raises(GapUndefinedError):
+            spectral_gap(diag_op([0.0] * 6), config=EigenSolveConfig(k=2, max_k=2))
 
 
 class TestOperatorInequality:
