@@ -47,6 +47,7 @@ from gapcert.operators import (
     DEFAULT_MATVEC_LIMIT,
     CompositeOperator,
     DimensionLimitError,
+    ManyBodyOperator,
     NNInteraction,
     build_QR,
     build_hamiltonian,
@@ -416,7 +417,8 @@ def verify_proposition_key(
     c_extra = 2.0 * (n + 1) ** (D - 2)
     c_bent = float(n**2) * (n + 1) ** (D - 2)
 
-    rhs1 = (c_edge + c_extra) * Hc + c_bent * (dec.Q + dec.R)
+    QR = CompositeOperator.from_operator(dec.Q) + CompositeOperator.from_operator(dec.R)
+    rhs1 = (c_edge + c_extra) * Hc + c_bent * QR
     ok1, w1 = check_operator_inequality(rhs1, A, tol=tol, config=config)
     rhs2 = (c_edge * gamma_box) * Hc
     ok2, w2 = check_operator_inequality(A, rhs2, tol=tol, config=config)
@@ -485,6 +487,7 @@ def aligned_pair_witness(
     if m < 3:
         raise ValueError(f"ring needs m >= 3 sites, got {m}")
     dec = build_QR(model, grid_edges(1, m, periodic=True), grid_sites(1, m))
-    lhs = 2.0 * CompositeOperator.from_operator(dec.H) + dec.Q
+    doubled_H = [(sites_of_term, 2.0 * M) for sites_of_term, M in dec.H.terms]
+    lhs = ManyBodyOperator(dec.H.site_list, model.d, doubled_H + dec.Q.terms)
     pairs = lowest_eigenvalues(lhs, config)
     return float(pairs[0][0])

@@ -194,23 +194,6 @@ def classify_pair(e1: Edge, e2: Edge) -> PairClass:
     return PairClass.DISJOINT
 
 
-def count_boxes_containing(target, n: int, geometry: LatticeGeometry) -> int:
-    """Number of box translates containing all target edges, by brute force.
-
-    `target` is a single Edge or an iterable of Edges.  Walks every translate
-    l of the box {0..n}^D and tests membership of each target edge in the
-    box's internal edge set.  The closed forms (see module docstring) are
-    exact when N >= 2n+1; this function makes no such assumption.
-    """
-    edges = (target,) if isinstance(target, Edge) else tuple(target)
-    count = 0
-    for base in sites(geometry):
-        slots = set(box_edges(BoxRegion(base, n), geometry))
-        if all(e in slots for e in edges):
-            count += 1
-    return count
-
-
 @dataclass
 class CountReport:
     """Enumerated box-containment counts vs. the closed forms.

@@ -6,21 +6,23 @@ An operator is a term list.  Every solver works on one representation, a
 scipy.sparse CSR matrix assembled once per operator by index arithmetic on
 the tensor basis: float64 when every term is exactly real, complex128
 otherwise.  The matrix-free matvec (`apply`) stays as an independent path
-for residuals and for the sequential products the verifiers apply.  Basis
-convention: site order follows the site list, with the first site the most
-significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) -- the
-layout np.kron produces.
+for residuals and for the square-identity check.  Basis convention: site
+order follows the site list, with the first site the most significant
+tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) -- the layout
+np.kron produces.
 
 Squaring H = sum_e h_e with h_e^2 = h_e gives H^2 = H + Q + R, where Q
 collects anticommutators {h_e, h_e'} of touching distinct edge pairs and R
 those of disjoint (hence commuting) pairs; each R summand is a product of
-commuting positive-semidefinite projections, so R >= 0.  Both are
-represented lazily as products applied by sequential matvecs.
+commuting positive-semidefinite projections, so R >= 0.  Each pair is one
+local term of Q or R, a dense matrix on its 3 (touching), 4 (disjoint) or
+2 (doubled side-2 slot) sites.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -300,11 +302,11 @@ class CompositeOperator:
 
 @dataclass
 class TermDecomposition:
-    """The split H^2 = H + Q + R over edge pairs."""
+    """The split H^2 = H + Q + R; one Q (R) term per touching (disjoint) pair."""
 
     H: ManyBodyOperator
-    Q: CompositeOperator
-    R: CompositeOperator
+    Q: ManyBodyOperator
+    R: ManyBodyOperator
     n_touching_pairs: int = 0
     n_disjoint_pairs: int = 0
 
@@ -337,6 +339,26 @@ def single_term_operator(op: ManyBodyOperator, term_index: int) -> ManyBodyOpera
     return ManyBodyOperator(op.site_list, op.d, [(sites_of_term, M)])
 
 
+def _anticommutator(term1, term2, d: int):
+    """{h1, h2} of two local terms as one matrix on the union of their sites.
+
+    Each factor is widened by np.kron and its tensor axes transposed into the
+    union's site order; the product is taken before any many-body embedding.
+    """
+    union = tuple(dict.fromkeys(term1[0] + term2[0]))
+    k = len(union)
+
+    def on_union(sites_of_term, M):
+        order = [union.index(s) for s in sites_of_term]
+        order += [i for i in range(k) if i not in order]
+        T = np.kron(M, np.eye(d ** (k - len(sites_of_term)))).reshape((d,) * (2 * k))
+        axes = list(np.argsort(order))
+        return T.transpose(axes + [k + a for a in axes]).reshape(d**k, d**k)
+
+    A, B = on_union(*term1), on_union(*term2)
+    return union, A @ B + B @ A
+
+
 def build_QR(
     interaction: NNInteraction,
     edges,
@@ -345,33 +367,24 @@ def build_QR(
 ) -> TermDecomposition:
     """H plus the anticommutator sums Q (touching pairs) and R (disjoint pairs).
 
-    Each unordered pair contributes both orders, so a disjoint pair enters R
-    as h1 h2 + h2 h1 = 2 h1 h2.  Pairs of distinct slots carrying the same
+    Each unordered pair is one term {h1, h2}, so a disjoint pair enters R as
+    h1 h2 + h2 h1 = 2 h1 h2.  Pairs of distinct slots carrying the same
     endpoints (side-2 wrap) do not commute in general and are kept in Q.
     """
     H = build_hamiltonian(interaction, edges, site_list, matvec_limit)
-    ordered = sorted(edges)
-    singles = [single_term_operator(H, i) for i in range(len(ordered))]
-    q_parts, r_parts = [], []
-    n_touch = n_disj = 0
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            both_orders = [
-                (1.0, (singles[i], singles[j])),
-                (1.0, (singles[j], singles[i])),
-            ]
-            if classify_pair(ordered[i], ordered[j]) is PairClass.DISJOINT:
-                r_parts += both_orders
-                n_disj += 1
-            else:
-                q_parts += both_orders
-                n_touch += 1
+    ordered, terms = sorted(edges), H.terms
+    q_terms, r_terms = [], []
+    for i, j in itertools.combinations(range(len(ordered)), 2):
+        disjoint = classify_pair(ordered[i], ordered[j]) is PairClass.DISJOINT
+        (r_terms if disjoint else q_terms).append(
+            _anticommutator(terms[i], terms[j], H.d)
+        )
     return TermDecomposition(
         H=H,
-        Q=CompositeOperator(H.dimension, q_parts),
-        R=CompositeOperator(H.dimension, r_parts),
-        n_touching_pairs=n_touch,
-        n_disjoint_pairs=n_disj,
+        Q=ManyBodyOperator(H.site_list, H.d, q_terms),
+        R=ManyBodyOperator(H.site_list, H.d, r_terms),
+        n_touching_pairs=len(q_terms),
+        n_disjoint_pairs=len(r_terms),
     )
 
 

@@ -14,11 +14,28 @@ from gapcert.lattice import (
     box_sites,
     canonical_site,
     classify_pair,
-    count_boxes_containing,
     periodic_edges,
     sites,
     verify_counting_lemma,
 )
+
+
+def count_boxes_containing(target, n: int, geometry: LatticeGeometry) -> int:
+    """Number of box translates containing all target edges, by brute force.
+
+    `target` is a single Edge or an iterable of Edges.  Walks every translate
+    l of the box {0..n}^D and tests membership of each target edge in the
+    box's internal edge set.  The closed forms (see the gapcert.lattice
+    docstring) are exact when N >= 2n+1; this function makes no such
+    assumption.
+    """
+    edges = (target,) if isinstance(target, Edge) else tuple(target)
+    count = 0
+    for base in sites(geometry):
+        slots = set(box_edges(BoxRegion(base, n), geometry))
+        if all(e in slots for e in edges):
+            count += 1
+    return count
 
 
 def make_edge(tail, axis, geometry):

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapcert.coarsegrain import FiniteRangeSpec, InteractionShape, build_HCn
-from gapcert.lattice import LatticeGeometry, grid_edges, grid_sites, periodic_edges, sites
+from gapcert.lattice import (
+    LatticeGeometry,
+    PairClass,
+    classify_pair,
+    grid_edges,
+    grid_sites,
+    periodic_edges,
+    sites,
+)
 from gapcert.models import aklt, heisenberg_ferro, heisenberg_ferro_fr, random_projection
 from gapcert.operators import (
     CompositeOperator,
@@ -226,7 +234,18 @@ class TestSparse:
 
     def test_composite_products_and_negative_coefficients(self):
         dec = build_QR(random_projection(2, 1, seed=3), grid_edges(1, 4), grid_sites(1, 4))
-        C = 2.0 * CompositeOperator.from_operator(dec.H) - dec.Q - 0.5 * dec.R
+        # edges (0,1), (1,2), (2,3): pairs {0,1} and {1,2} touch, {0,2} is disjoint
+        h = [single_term_operator(dec.H, i) for i in range(3)]
+
+        def anticommutators(pairs):
+            return CompositeOperator(
+                dec.H.dimension,
+                [(1.0, (h[i], h[j])) for a, b in pairs for i, j in ((a, b), (b, a))],
+            )
+
+        Q = anticommutators([(0, 1), (1, 2)])
+        R = anticommutators([(0, 2)])
+        C = 2.0 * CompositeOperator.from_operator(dec.H) - Q - 0.5 * R
         assert any(len(factors) == 2 for _, factors in C.parts)
         assert any(coeff < 0 for coeff, _ in C.parts)
         assert_sparse_matches_apply(C)
@@ -298,6 +317,45 @@ class TestBuildQR:
         dec = build_QR(FERRO, grid_edges(1, 3), grid_sites(1, 3))
         assert dec.n_touching_pairs == 1
         assert dec.n_disjoint_pairs == 0
+
+    @pytest.mark.parametrize(
+        "model, edges, site_list",
+        [
+            (FERRO, grid_edges(2, 3, periodic=True), grid_sites(2, 3)),
+            (aklt(), grid_edges(1, 5, periodic=True), grid_sites(1, 5)),
+            (
+                random_projection(2, 2, seed=5),
+                periodic_edges(LatticeGeometry(D=2, N=1)),
+                sites(LatticeGeometry(D=2, N=1)),
+            ),
+        ],
+        ids=["ferro_torus3x3", "aklt_ring5", "random_side2"],
+    )
+    def test_local_terms_match_products(self, model, edges, site_list):
+        dec = build_QR(model, edges, site_list)
+        limit = dec.H.dimension
+        h = [dense_matrix(single_term_operator(dec.H, i), limit) for i in range(dec.H.n_terms)]
+        ordered = sorted(edges)
+        Q = np.zeros((limit, limit), dtype=complex)
+        R = np.zeros((limit, limit), dtype=complex)
+        widths = {"Q": [], "R": []}
+        for i in range(len(h)):
+            for j in range(i + 1, len(h)):
+                width = len(ordered[i].endpoints | ordered[j].endpoints)
+                if classify_pair(ordered[i], ordered[j]) is PairClass.DISJOINT:
+                    R += h[i] @ h[j] + h[j] @ h[i]
+                    widths["R"].append(width)
+                else:
+                    Q += h[i] @ h[j] + h[j] @ h[i]
+                    widths["Q"].append(width)
+        assert_allclose(dense_matrix(dec.Q, limit), Q, rtol=0, atol=1e-13)
+        assert_allclose(dense_matrix(dec.R, limit), R, rtol=0, atol=1e-13)
+        # one local term per unordered pair, as wide as the pair's sites
+        assert dec.Q.n_terms == dec.n_touching_pairs == len(widths["Q"])
+        assert dec.R.n_terms == dec.n_disjoint_pairs == len(widths["R"])
+        assert sorted(len(s) for s, _ in dec.Q.terms) == sorted(widths["Q"])
+        assert sorted(len(s) for s, _ in dec.R.terms) == sorted(widths["R"])
+        assert set(widths["Q"]) <= {2, 3} and set(widths["R"]) == {4}
 
 
 class TestSquareIdentity:
