@@ -55,10 +55,6 @@ class LatticeGeometry:
     def n_sites(self) -> int:
         return self.side**self.D
 
-    @property
-    def n_edges(self) -> int:
-        return self.D * self.n_sites
-
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -121,14 +117,6 @@ def periodic_edges(geometry: LatticeGeometry):
         for a in range(geometry.D):
             out.append(Edge(s, _shift(s, a, +1, geometry), a))
     return out
-
-
-def box_sites(box: BoxRegion, geometry: LatticeGeometry):
-    """The (n+1)^D sites of the lifted box (with repeats if the box wraps)."""
-    return [
-        canonical_site([b + p for b, p in zip(box.base, offs)], geometry)
-        for offs in itertools.product(range(box.n + 1), repeat=geometry.D)
-    ]
 
 
 def _box_axis_offsets(D, n, axis):

@@ -10,12 +10,17 @@ frustration-free check passes.
 
 The d=3 basis is ordered by Sz in {+1, 0, -1}.  Any consistent convention
 gives a unitarily equivalent model and identical spectra; one order is
-fixed so that matrices are reproducible entry by entry.
+fixed so that matrices are reproducible entry by entry.  Both built-ins
+conserve total Sz and declare it as per-site charges in that basis order:
+(+1, -1) for the ferro chain, (+1, 0, -1) for AKLT.  Random projections
+declare none and are solved as one sector.
 
 File formats (whitespace-separated `re,im` complex entries, row per line):
-nearest-neighbor files start with `d=<int>` followed by the d^2 x d^2
-matrix; finite-range files start with `d=<int>`, `R=<odd int>`, then per
-shape a line `S= (x,y,z);(x,y,z);...` followed by its d^|S| x d^|S| matrix.
+nearest-neighbor files start with `d=<int>`, then an optional charge line
+`Q= <int> ... <int>` (d per-site charges, refused unless P conserves their
+pair sum), then the d^2 x d^2 matrix; finite-range files start with
+`d=<int>`, `R=<odd int>`, then per shape a line `S= (x,y,z);(x,y,z);...`
+followed by its d^|S| x d^|S| matrix.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def heisenberg_ferro() -> NNInteraction:
         for b in range(2):
             swap[2 * a + b, 2 * b + a] = 1.0
     P = (np.eye(4) - swap) / 2
-    return NNInteraction(d=2, P=P, name="heisenberg-ferro")
+    return NNInteraction(d=2, P=P, name="heisenberg-ferro", charges=(1, -1))
 
 
 def _spin1_matrices():
@@ -80,7 +85,7 @@ def aklt() -> NNInteraction:
     X = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     P = (X @ X + 3 * X + 2 * np.eye(9)) / 6
     P = (P + P.conj().T) / 2
-    return NNInteraction(d=3, P=P, name="aklt")
+    return NNInteraction(d=3, P=P, name="aklt", charges=(1, 0, -1))
 
 
 def random_projection(d: int, rank: int, seed: int) -> NNInteraction:
@@ -217,12 +222,27 @@ def _parse_offsets(text: str, line_no: int):
     return tuple(offsets)
 
 
+def _parse_charges(text: str, line_no: int, d: int) -> tuple:
+    tokens = text[2:].split()
+    if len(tokens) != d:
+        raise ModelFormatError(
+            f"line {line_no}: Q= needs {d} per-site charges, found {len(tokens)}"
+        )
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise ModelFormatError(
+            f"line {line_no}: Q= charges must be integers, got {text[2:].strip()!r}"
+        ) from None
+
+
 def load_model(path):
     """Parse a model file into an NNInteraction or a FiniteRangeSpec.
 
     The second header line decides the format: `R=<odd int>` marks a
     finite-range spec, anything else is read as the nearest-neighbor
-    d^2 x d^2 matrix.  Parse errors and projection failures report the line.
+    d^2 x d^2 matrix, after an optional `Q=` charge line.  Parse errors,
+    projection failures and charges P does not conserve report the line.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -247,13 +267,20 @@ def load_model(path):
     if len(lines) > 1 and lines[1][1].startswith("R="):
         return _load_finite_range(lines, d, name)
 
-    P, idx = _parse_matrix_rows(lines, 1, d**2, f"a d^2 x d^2 = {d**2} matrix")
+    charges, start = None, 1
+    if len(lines) > 1 and lines[1][1].startswith("Q="):
+        charges, start = _parse_charges(lines[1][1], lines[1][0], d), 2
+    P, idx = _parse_matrix_rows(lines, start, d**2, f"a d^2 x d^2 = {d**2} matrix")
     if idx != len(lines):
         raise ModelFormatError(
             f"line {lines[idx][0]}: trailing content after the matrix"
         )
     _check_projection_or_raise(P, "matrix")
-    return NNInteraction(d=d, P=P, name=name)
+    try:
+        return NNInteraction(d=d, P=P, name=name, charges=charges)
+    except ValueError as exc:
+        # the shape is right by parsing, so only the charge check can fail
+        raise ModelFormatError(f"line {lines[1][0]}: Q= charges refused: {exc}") from None
 
 
 def _load_finite_range(lines, d: int, name: str) -> FiniteRangeSpec:
@@ -298,6 +325,8 @@ def save_model(model, path):
     """Write a model file; floats via repr so reloading is entrywise exact."""
     if isinstance(model, NNInteraction):
         out = [f"d={model.d}"]
+        if model.charges is not None:
+            out.append("Q= " + " ".join(str(c) for c in model.charges))
         for row in model.P:
             out.append(" ".join(_fmt(z) for z in row))
     elif isinstance(model, FiniteRangeSpec):

@@ -9,7 +9,9 @@ otherwise.  The matrix-free matvec (`apply`) stays as an independent path
 for residuals and for the square-identity check.  Basis convention: site
 order follows the site list, with the first site the most significant
 tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) -- the layout
-np.kron produces.
+np.kron produces.  An interaction may declare per-site charges whose pair
+sum P conserves; `build_hamiltonian` hands them to the operator, and the
+spectral solvers then split it into total-charge blocks.
 
 Squaring H = sum_e h_e with h_e^2 = h_e gives H^2 = H + Q + R, where Q
 collects anticommutators {h_e, h_e'} of touching distinct edge pairs and R
@@ -58,11 +60,17 @@ def projection_check(P, tol: float = PROJECTION_TOL) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class NNInteraction:
-    """Local dimension d and a projection P on the two-site space C^(d^2)."""
+    """Local dimension d and a projection P on the two-site space C^(d^2).
+
+    `charges`, if given, are d integers, one per basis state of a site, whose
+    pair sum P conserves; the check runs here, so a Hamiltonian built from
+    the interaction is block diagonal by total charge.
+    """
 
     d: int
     P: np.ndarray
     name: str = ""
+    charges: tuple | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=np.complex128)
@@ -71,6 +79,19 @@ class NNInteraction:
                 f"interaction matrix shape {P.shape} does not match d^2 = {self.d**2}"
             )
         object.__setattr__(self, "P", P)
+        if self.charges is not None:
+            charges = tuple(int(c) for c in self.charges)
+            if len(charges) != self.d or charges != tuple(self.charges):
+                raise ValueError(f"charges must be {self.d} integers, got {self.charges}")
+            q = np.array(charges, dtype=float)
+            pair = (q[:, None] + q[None, :]).ravel()  # diagonal of q(x)1 + 1(x)q
+            defect = np.linalg.norm(P * pair[None, :] - pair[:, None] * P, 2)
+            if defect > PROJECTION_TOL:
+                raise ValueError(
+                    f"P does not conserve the charges {charges}: "
+                    f"|[P, q(x)1 + 1(x)q]| = {defect:.6e} (tolerance {PROJECTION_TOL:g})"
+                )
+            object.__setattr__(self, "charges", charges)
 
     def check(self, tol: float = PROJECTION_TOL) -> bool:
         return projection_check(self.P, tol)
@@ -138,12 +159,16 @@ class ManyBodyOperator:
 
     `terms` is a list of (sites, matrix) with `sites` a tuple of entries of
     `site_list` (length k >= 1) and `matrix` of shape (d^k, d^k) acting on
-    those tensor factors in the given order.
+    those tensor factors in the given order.  `charges`, if given, are d
+    per-site integers whose total every term conserves (the caller's
+    guarantee; `NNInteraction` checks it); the spectral solvers then work
+    sector by sector.
     """
 
-    def __init__(self, site_list, d: int, terms):
+    def __init__(self, site_list, d: int, terms, charges=None):
         self.site_list = list(site_list)
         self.d = int(d)
+        self.charges = None if charges is None else tuple(charges)
         if len(set(self.site_list)) != len(self.site_list):
             raise ValueError("site list contains duplicates")
         self.dimension = self.d ** len(self.site_list)
@@ -330,7 +355,7 @@ def build_hamiltonian(
             f"dimension {interaction.d}^{len(site_list)} exceeds matvec limit {matvec_limit}"
         )
     terms = [((e.tail, e.head), interaction.P) for e in sorted(edges)]
-    return ManyBodyOperator(site_list, interaction.d, terms)
+    return ManyBodyOperator(site_list, interaction.d, terms, interaction.charges)
 
 
 def single_term_operator(op: ManyBodyOperator, term_index: int) -> ManyBodyOperator:

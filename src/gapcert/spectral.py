@@ -9,10 +9,20 @@ ARPACK's implicitly restarted Lanczos (which='SA') on the CSR itself, with
 a seeded start vector for determinism and a widened Krylov basis to
 resolve the clustered near-zero spectra frustration-free Hamiltonians
 produce.  Residuals come from the matrix-free `apply`, a path independent
-of the CSR assembly.  In the iterative path the reported kernel dimension
-is an estimate: Lanczos may not resolve the full multiplicity of a
-degenerate kernel even when the gap itself is converged well past the
-requested tolerance.
+of the CSR assembly.
+
+`spectral_gap` solves an operator that declares per-site charges (both
+built-in models conserve total Sz) one total-charge block at a time: the
+CSR is permuted once by charge label and cut into its diagonal blocks.
+The dense limit still compares the whole dimension, so it picks the path
+for every block; on the iterative path a block too small for ARPACK to
+reach past its kernel is solved by dense `eigh`.  gap = min over blocks
+and kernel_dim = sum over blocks.  A degenerate kernel spread over
+sectors, such as a total-spin multiplet, is then counted exactly on both
+paths.  The kernel dimension is an estimate only where ARPACK solves a
+block, or an operator without charges, whose own kernel is degenerate:
+Lanczos may not resolve that multiplicity even when the gap itself is
+converged well past the requested tolerance.
 """
 
 from __future__ import annotations
@@ -53,9 +63,10 @@ class EigenSolveConfig:
     """Eigensolver knobs; identical config + seed gives identical output.
 
     tol = 0 means machine precision for the iterative path.  dense_limit is
-    the dimension at or below which the dense path is used, and the largest
-    matrix a dense-only witness materializes.  max_k caps the adaptive
-    escalation of k in spectral_gap.
+    the dimension at or below which the dense path is used (the operator's
+    whole dimension, also when it is solved by charge blocks), and the
+    largest matrix a dense-only witness materializes.  max_k caps the
+    adaptive escalation of an ARPACK solve's k in spectral_gap.
     """
 
     k: int = 8
@@ -95,15 +106,16 @@ def _residuals(op, vals, vecs):
     return out
 
 
-def _real_ritz(op, vals, v0):
+def _real_ritz(vals, Av0):
     """Ritz values as a real array, refusing an imaginary part above roundoff.
 
-    The scale is the larger of the largest |Ritz value| and ||op v0||, the RMS
-    eigenvalue, so a kernel-only window is not judged against its own zeros.
+    The scale is the larger of the largest |Ritz value| and ||A v0|| (Av0 is
+    the matrix applied to the unit start vector), the RMS eigenvalue, so a
+    kernel-only window is not judged against its own zeros.
     """
     if not np.iscomplexobj(vals):
         return vals
-    scale = max(float(np.abs(vals).max()), float(np.linalg.norm(op.apply(v0))))
+    scale = max(float(np.abs(vals).max()), float(np.linalg.norm(Av0)))
     worst = float(np.abs(vals.imag).max())
     if worst > RITZ_IMAG_RTOL * scale:
         raise SolverConvergenceError(
@@ -113,29 +125,20 @@ def _real_ritz(op, vals, v0):
     return vals.real
 
 
-def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: bool = True):
-    """Ascending eigenvalues of a Hermitian operator, with eigenvectors.
+def _dense_lowest(A, k: int | None, vectors: bool = True):
+    """Lowest k pairs of a dense Hermitian array (all of them for k=None)."""
+    subset = None if k is None or k >= A.shape[0] else [0, k - 1]
+    if not vectors:
+        return scipy.linalg.eigvalsh(A, subset_by_index=subset), None
+    return scipy.linalg.eigh(A, subset_by_index=subset)
 
-    Returns (vals, vecs, method).  Dimensions up to config.dense_limit, and
-    every call with k=None (the whole spectrum), densify the CSR and run
-    dense eigh for the k lowest pairs (all of them when k=None);
-    DimensionLimitError past the limit.  Otherwise ARPACK returns the k
-    lowest.  vectors=False skips the eigenvectors on the dense path (vecs is
-    then None).
-    """
-    dim = op.dimension
-    if k is None or dim <= config.dense_limit:
-        A = dense_matrix(op, limit=config.dense_limit)
-        subset = None if k is None or k >= dim else [0, k - 1]
-        if not vectors:
-            return scipy.linalg.eigvalsh(A, subset_by_index=subset), None, "dense"
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=subset)
-        return vals, vecs, "dense"
 
+def _arpack_lowest(A, config: EigenSolveConfig, k: int):
+    """Lowest k pairs of a Hermitian CSR matrix by ARPACK (which='SA')."""
+    dim = A.shape[0]
     if not 0 < k <= dim - 2:
         # ARPACK needs k < dim - 1 (eigs, which complex operators go through)
         raise ValueError(f"iterative path needs 1 <= k <= dimension-2, got k={k}, dim={dim}")
-    A = op.sparse()
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(dim)
     if np.iscomplexobj(A):
@@ -165,9 +168,26 @@ def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: boo
         raise SolverConvergenceError(
             f"ARPACK could not iterate at dim {dim}: {exc}"
         ) from exc
-    vals = _real_ritz(op, vals, v0)
+    vals = _real_ritz(vals, A @ v0)
     order = np.argsort(vals)
-    return vals[order], vecs[:, order], "iterative"
+    return vals[order], vecs[:, order]
+
+
+def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: bool = True):
+    """Ascending eigenvalues of a Hermitian operator, with eigenvectors.
+
+    Returns (vals, vecs, method).  Dimensions up to config.dense_limit, and
+    every call with k=None (the whole spectrum), densify the CSR and run
+    dense eigh for the k lowest pairs (all of them when k=None);
+    DimensionLimitError past the limit.  Otherwise ARPACK returns the k
+    lowest.  vectors=False skips the eigenvectors on the dense path (vecs is
+    then None).
+    """
+    if k is None or op.dimension <= config.dense_limit:
+        vals, vecs = _dense_lowest(dense_matrix(op, limit=config.dense_limit), k, vectors)
+        return vals, vecs, "dense"
+    vals, vecs = _arpack_lowest(op.sparse(), config, k)
+    return vals, vecs, "iterative"
 
 
 def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
@@ -186,51 +206,104 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
     return list(zip(vals.tolist(), _residuals(op, vals, vecs)))
 
 
-def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
-    """Smallest eigenvalue above kernel_tol, escalating k until one is found.
+def _charge_blocks(op):
+    """[(block CSR, basis indices of the block)] by total charge.
 
-    A dense solve computes the lowest max(config.k, config.max_k) pairs at
-    once (a subset eigh costs about the same for any such count), falls back
-    to the whole spectrum only when all of them lie in the kernel, and
-    reports max(config.k, kernel_dim + 1) eigenvalues.  On the iterative
-    path k starts at config.k and doubles while every computed eigenvalue
-    sits at or below kernel_tol, capped at config.max_k and at the
-    dimension - 2.
+    Each basis index is labelled by a running sum of the per-site charges;
+    the CSR is permuted once so that equal labels are contiguous, and each
+    block is a diagonal slice of it.  One block (all indices) when the
+    operator declares no charges.
+    """
+    A, dim = op.sparse(), op.dimension
+    charges = getattr(op, "charges", None)
+    if charges is None:
+        return [(A, slice(None))]
+    labels = np.zeros(1, dtype=np.int64)
+    for _ in op.site_list:
+        labels = (labels[:, None] + np.asarray(charges, dtype=np.int64)).ravel()
+    order = np.argsort(labels, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), dim]
+    A = A[order][:, order]
+    blocks = [(A[lo:hi, lo:hi], order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    if sum(B.nnz for B, _ in blocks) != A.nnz:
+        raise ValueError(f"operator couples different sectors of its charges {charges}")
+    return blocks
+
+
+def _block_lowest(B, config: EigenSolveConfig, kernel_tol: float, iterative: bool):
+    """Lowest pairs of one charge block: at least min(dim, config.k) of them,
+    widened by doubling until one lies above kernel_tol or the block is
+    exhausted.
+
+    On the iterative path ARPACK runs while its k fits under dim - 2 and
+    config.max_k; a block too small for ARPACK to reach past its kernel is
+    solved by dense eigh instead.
+    """
+    n = B.shape[0]
+    arpack = iterative and max(config.k, 2) <= n - 2
+    k = max(config.k, 2) if arpack else min(config.k, n)
+    dense = None
+    while True:
+        if arpack:
+            vals, vecs = _arpack_lowest(B, config, k)
+        else:
+            if dense is None:
+                dense = B.toarray()
+            vals, vecs = _dense_lowest(dense, k)
+        if vals[-1] > kernel_tol or len(vals) == n:
+            return vals, vecs
+        if not arpack:
+            k = min(2 * k, n)
+        elif k < min(config.max_k, n - 2):
+            k = min(2 * k, config.max_k, n - 2)
+        elif n - 2 < config.max_k:
+            arpack, k = False, n
+        else:
+            raise GapUndefinedError(
+                f"all {k} computed eigenvalues of a {n}-state block lie within "
+                f"kernel tolerance {kernel_tol} (k={k}, max_k={config.max_k})"
+            )
+
+
+def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
+    """Smallest eigenvalue above kernel_tol, solved charge block by block.
+
+    Each block gives its lowest pairs (`_block_lowest`): by dense subset eigh
+    when the operator's whole dimension is at most config.dense_limit, else
+    by ARPACK on the block's CSR.  gap = min over blocks, kernel_dim = sum
+    over blocks, and the report holds the lowest max(config.k, kernel_dim + 1)
+    eigenvalues merged across blocks, each block computing at least that
+    many minus the other blocks' kernels, with residuals of the eigenvectors
+    embedded back into the full space.
     """
     config = config or DEFAULT_CONFIG
     dim = op.dimension
-    if dim <= config.dense_limit:
-        vals, vecs, method = _eigensolve(op, config, min(dim, max(config.k, config.max_k)))
-        if vals[-1] <= kernel_tol and len(vals) < dim:
-            vals, vecs, method = _eigensolve(op, config)
-        kernel_dim = int(np.sum(vals <= kernel_tol))
-        if kernel_dim == len(vals):
-            raise GapUndefinedError(
-                f"all {dim} eigenvalues lie within kernel tolerance {kernel_tol}"
-            )
-        k = max(config.k, kernel_dim + 1)
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        top = min(config.max_k, dim - 2)
-        k = min(max(config.k, 2), top)
-        while True:
-            vals, vecs, method = _eigensolve(op, config, k)
-            kernel_dim = int(np.sum(vals <= kernel_tol))
-            if kernel_dim < len(vals):
-                break
-            if k >= top:
-                raise GapUndefinedError(
-                    f"all {k} computed eigenvalues lie within kernel tolerance "
-                    f"{kernel_tol} after escalating k to {k}"
-                )
-            k = min(2 * k, top)
+    iterative = dim > config.dense_limit
+    solved = [
+        (*_block_lowest(B, config, kernel_tol, iterative), idx)
+        for B, idx in _charge_blocks(op)
+    ]
+    kernel_dim = sum(int(np.sum(vals <= kernel_tol)) for vals, _, _ in solved)
+    if all(vals[-1] <= kernel_tol for vals, _, _ in solved):
+        raise GapUndefinedError(
+            f"all {dim} eigenvalues lie within kernel tolerance {kernel_tol}"
+        )
+    merged = [(v, b, c) for b, (vals, _, _) in enumerate(solved) for c, v in enumerate(vals)]
+    merged.sort(key=lambda t: t[0])
+    merged = merged[: max(config.k, kernel_dim + 1)]
+    dtype = np.result_type(*(vecs for _, vecs, _ in solved))
+    vecs = np.zeros((dim, len(merged)), dtype=dtype)
+    for j, (_, b, c) in enumerate(merged):
+        _, block_vecs, idx = solved[b]
+        vecs[idx, j] = block_vecs[:, c]
+    vals = np.array([v for v, _, _ in merged])
     return GapReport(
         eigenvalues=vals.tolist(),
         residuals=_residuals(op, vals, vecs),
         kernel_dim=kernel_dim,
         gap=float(vals[kernel_dim]),
         kernel_tol=kernel_tol,
-        method=method,
+        method="iterative" if iterative else "dense",
         k_used=len(vals),
     )
 

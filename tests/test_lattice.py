@@ -11,13 +11,25 @@ from gapcert.lattice import (
     LatticeGeometry,
     PairClass,
     box_edges,
-    box_sites,
     canonical_site,
     classify_pair,
     periodic_edges,
     sites,
     verify_counting_lemma,
 )
+
+
+def box_sites(box: BoxRegion, geometry: LatticeGeometry):
+    """The (n+1)^D sites of the lifted box (with repeats if the box wraps)."""
+    return [
+        canonical_site([b + p for b, p in zip(box.base, offs)], geometry)
+        for offs in itertools.product(range(box.n + 1), repeat=geometry.D)
+    ]
+
+
+def n_edges(geometry: LatticeGeometry) -> int:
+    """D edge slots per site of the torus."""
+    return geometry.D * geometry.n_sites
 
 
 def count_boxes_containing(target, n: int, geometry: LatticeGeometry) -> int:
@@ -198,7 +210,7 @@ class TestCountingLemma:
     def test_edge_count_totals(self):
         geo = LatticeGeometry(D=2, N=5)
         report = verify_counting_lemma(2, geo)
-        assert sum(report.edge_counts.values()) == geo.n_edges
+        assert sum(report.edge_counts.values()) == n_edges(geo)
 
     def test_out_of_regime_violation(self):
         # N=2 < 2n+1: wrap doubles the lift of a disjoint parallel pair
@@ -243,7 +255,7 @@ class TestCountingLemma:
         if N >= 2 * n + 1:
             assert report.ok
         total_slots = sum(report.edge_counts.values())
-        assert total_slots == geo.n_edges
+        assert total_slots == n_edges(geo)
 
 
 def test_box_wrap_repeats_sites():
