@@ -15,6 +15,8 @@ n(n+1)^(D-1) boxes, every aligned pair (two collinear edges sharing one
 vertex) in exactly (n-1)(n+1)^(D-1), every bent pair (shared vertex,
 different axes) in exactly n^2(n+1)^(D-2), and every disjoint pair in at
 most n^2(n+1)^(D-2) -- exact for N >= 2n+1 and checked by enumeration.
+The verifier runs as integer array passes over all slots and pairs at once
+(see `verify_counting_lemma`), with memory linear in the number of slots.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
 
 # Cap on the number of torus translates any enumeration walks over.
 DEFAULT_ENUMERATION_LIMIT = 10**6
+_PAIR_CHUNK = 4096  # pairs per array pass of `_common_counts`
 
 Site = tuple  # integer coordinate tuple of length D
 
@@ -39,7 +42,6 @@ class LatticeGeometry:
 
     D: int
     N: int
-    periodic: bool = True
 
     def __post_init__(self):
         if self.D < 1:
@@ -81,11 +83,13 @@ class BoxRegion:
             raise ValueError(f"box side parameter must be >= 1, got {self.n}")
 
 
-class PairClass(Enum):
-    SAME = "same"
-    ALIGNED = "aligned"
-    BENT = "bent"
-    DISJOINT = "disjoint"
+class PairClass(IntEnum):
+    """Edge-pair class; `classify_pairs` returns these as integer codes."""
+
+    SAME = 0
+    ALIGNED = 1
+    BENT = 2
+    DISJOINT = 3
 
 
 def canonical_site(coords, geometry: LatticeGeometry) -> Site:
@@ -164,22 +168,39 @@ def grid_edges(D: int, side: int, periodic: bool = False):
     return edges
 
 
-def classify_pair(e1: Edge, e2: Edge) -> PairClass:
-    """Classify an edge pair by shared vertices.
+def edge_arrays(edges):
+    """Tail, head and axis arrays of an edge list, sites labelled in order of appearance."""
+    label = {}
+    ends = [label.setdefault(s, len(label)) for e in edges for s in (e.tail, e.head)]
+    tail, head = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return tail, head, np.array([e.axis for e in edges], dtype=np.int64)
 
+
+def classify_pairs(tail, head, axis, first, second) -> np.ndarray:
+    """Classify edge pairs by shared vertices; `PairClass` codes out.
+
+    Edge k is (tail[k], head[k], axis[k]) with integer site labels; pair p is
+    edges (first[p], second[p]).
     Same: identical slot, or identical endpoint set (the latter occurs only
     on side-2 tori, where wrap doubles each nearest-neighbor pair).
     Aligned/Bent: exactly one shared vertex, with equal/different axis.
     Disjoint: no shared vertex.
     """
-    if e1 == e2:
-        return PairClass.SAME
-    shared = len(e1.endpoints & e2.endpoints)
-    if shared == 2:
-        return PairClass.SAME
-    if shared == 1:
-        return PairClass.ALIGNED if e1.axis == e2.axis else PairClass.BENT
-    return PairClass.DISJOINT
+    t1, h1, a1 = tail[first], head[first], axis[first]
+    t2, h2, a2 = tail[second], head[second], axis[second]
+    # |{t1, h1} & {t2, h2}|, with h1 counted only when it is a second vertex
+    shared = ((t1 == t2) | (t1 == h2)).astype(np.int8) + (
+        ((h1 == t2) | (h1 == h2)) & (h1 != t1)
+    )
+    same = ((t1 == t2) & (h1 == h2) & (a1 == a2)) | (shared == 2)
+    one = shared == 1
+    codes = (PairClass.SAME, PairClass.ALIGNED, PairClass.BENT)
+    return np.select([same, one & (a1 == a2), one], codes, PairClass.DISJOINT)
+
+
+def classify_pair(e1: Edge, e2: Edge) -> PairClass:
+    """`classify_pairs` for a single pair of edges."""
+    return PairClass(int(classify_pairs(*edge_arrays((e1, e2)), 0, 1)))
 
 
 @dataclass
@@ -211,18 +232,37 @@ class CountReport:
         return not self.discrepancies
 
 
+def _common_counts(members, first, second) -> np.ndarray:
+    """|S_first & S_second| per pair, for rows of `members` without repeats.
+
+    Sorted together, two rows show each common element as equal neighbours;
+    chunking bounds the scratch at _PAIR_CHUNK x 2K integers for rows of K.
+    """
+    out = np.empty(len(first), dtype=np.int64)
+    for lo in range(0, len(first), _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        both = np.sort(np.hstack((members[first[lo:hi]], members[second[lo:hi]])), axis=1)
+        out[lo:hi] = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+    return out
+
+
 def verify_counting_lemma(n: int, geometry: LatticeGeometry) -> CountReport:
     """Check every box-containment count against its closed form.
 
-    Per-edge counts and all vertex-sharing (aligned/bent) pairs are
-    enumerated exhaustively.  Disjoint pairs are enumerated per displacement
-    class: translating a pair by t maps box translates containing it
-    bijectively onto those containing the translated pair (the box family
-    consists of all torus translates), so the count of a pair depends only
-    on the two axes and the tail displacement, and checking one
-    representative per class checks every pair.  Discrepancies are
-    collected, not raised; the closed forms are only guaranteed for
-    N >= 2n+1.
+    Per-edge counts and all vertex-sharing (aligned/bent) pairs, taken from
+    the star of every site, are enumerated exhaustively.  Disjoint pairs are
+    enumerated per displacement class: translating a pair by t maps box
+    translates containing it bijectively onto those containing the
+    translated pair (the box family consists of all torus translates), so
+    the count of a pair depends only on the two axes and the tail
+    displacement, and checking one representative per class checks every
+    pair.  Discrepancies are collected, not raised, in this order: edges by
+    (axis, tail), star pairs by first appearance, disjoint representatives
+    by (axis, axis, tail).  The closed forms are only guaranteed for N >= 2n+1.
+
+    A pair's count intersects its two slots' rows of box translates
+    (`_common_counts`), so memory stays at slots x boxes per slot plus one
+    chunk of pairs, never slots x translates.
     """
     D, N, side = geometry.D, geometry.N, geometry.side
     nsites = geometry.n_sites
@@ -258,87 +298,71 @@ def verify_counting_lemma(n: int, geometry: LatticeGeometry) -> CountReport:
         # arr (..., D) arbitrary integers -> flat index of the canonical site
         return ((arr + (N - 1)) % side) @ strides
 
-    # Box-membership sets: S(t, a) = {box translates whose box contains slot (t, a)}
-    # = {index(t - p) : p tail offset of an axis-a box edge}.
-    boxsets = {}
-    for a in range(D):
-        offs = np.array(_box_axis_offsets(D, n, a), dtype=np.int64)
-        base = site_index(coords[:, None, :] - offs[None, :, :])  # (nsites, n_off)
-        for t in range(nsites):
-            boxsets[(t, a)] = frozenset(base[t].tolist())
+    # Slot s = t*D + a is the edge (t, t + e_a).  Row s of `members` holds the
+    # sorted box translates containing it, index(t - p) over the tail offsets p
+    # of the box's axis-a edges.  A box wider than the torus meets a slot twice;
+    # each repeat becomes a distinct negative value that matches nothing.
+    offsets = np.array([_box_axis_offsets(D, n, a) for a in range(D)])  # (D, K, D)
+    members = np.sort(site_index(coords[:, None, None, :] - offsets), axis=2)
+    members = members.reshape(nsites * D, -1)
+    repeat = np.diff(members, axis=1, prepend=-1) == 0
+    members[repeat] = -1 - np.flatnonzero(repeat)
 
-    unit = np.eye(D, dtype=np.int64)
-    heads = site_index(coords[:, None, :] + unit[None, :, :])  # (nsites, D)
-    tails_in = site_index(coords[:, None, :] - unit[None, :, :])
+    slot_tail, slot_axis = np.divmod(np.arange(nsites * D), D)
+    slot_head = site_index(coords[:, None, :] + np.eye(D, dtype=np.int64)).ravel()
+    tails_in = site_index(coords[:, None, :] - np.eye(D, dtype=np.int64))  # (nsites, D)
 
-    # built once: classify_pair runs on every candidate pair below
-    edge = {
-        (t, a): Edge(site_list[t], site_list[heads[t, a]], a)
-        for t in range(nsites)
-        for a in range(D)
-    }
+    def where(s1, s2):
+        return f"tails {site_list[s1 // D]}/{site_list[s2 // D]} axes {s1 % D}/{s2 % D}"
 
-    # --- per-edge counts, exhaustive over all slots
-    for slot, s in boxsets.items():
-        cnt = len(s)
-        report.edge_counts[cnt] += 1
-        if cnt != edge_expected:
-            report.discrepancies.append(
-                f"edge tail={site_list[slot[0]]} "
-                f"axis={slot[1]}: count {cnt} != {edge_expected}"
-            )
+    # --- per-edge counts, exhaustive over all slots, in (axis, tail) order
+    edge_counts = (members.shape[1] - repeat.sum(axis=1)).reshape(nsites, D).T
+    report.edge_counts.update(edge_counts.ravel().tolist())
+    for a, t in zip(*np.nonzero(edge_counts != edge_expected)):
+        report.discrepancies.append(
+            f"edge tail={site_list[t]} axis={a}: count {edge_counts[a, t]} != {edge_expected}"
+        )
 
-    def check_pair(slot1, slot2, cls):
-        cnt = len(boxsets[slot1] & boxsets[slot2])
-        t1, a1 = slot1
-        t2, a2 = slot2
-        where = f"tails {site_list[t1]}/{site_list[t2]} axes {a1}/{a2}"
-        if cls is PairClass.ALIGNED:
-            report.aligned_counts[cnt] += 1
-            if cnt != aligned_expected:
-                report.discrepancies.append(
-                    f"aligned pair {where}: count {cnt} != {aligned_expected}"
-                )
-        elif cls is PairClass.BENT:
-            report.bent_counts[cnt] += 1
-            if bent_expected is not None and cnt != bent_expected:
-                report.discrepancies.append(
-                    f"bent pair {where}: count {cnt} != {bent_expected}"
-                )
-        elif cls is PairClass.DISJOINT:
-            report.disjoint_counts[cnt] += 1
-            if cnt > disjoint_bound:
-                report.discrepancies.append(
-                    f"disjoint pair {where}: count {cnt} > bound {disjoint_bound}"
-                )
-
-    # --- vertex-sharing pairs, exhaustive via the star of every site
-    seen = set()
-    for t in range(nsites):
-        star = []
-        for a in range(D):
-            star.append((t, a))
-            star.append((int(tails_in[t, a]), a))
-        for slot1, slot2 in itertools.combinations(sorted(set(star)), 2):
-            if (slot1, slot2) in seen:
-                continue
-            seen.add((slot1, slot2))
-            cls = classify_pair(edge[slot1], edge[slot2])
-            if cls is PairClass.SAME:
-                report.notes.append(
-                    f"doubled slot pair at site index {t} skipped (side-2 wrap)"
-                )
-                continue
-            check_pair(slot1, slot2, cls)
+    # --- vertex-sharing pairs, exhaustive via the star of every site: the
+    # 2D slots ending at it, sorted, paired in itertools.combinations order,
+    # each pair kept at its first appearance
+    leaving = np.arange(nsites * D).reshape(nsites, D)
+    star = np.sort(np.hstack((leaving, tails_in * D + np.arange(D))), axis=1)
+    i, j = np.triu_indices(2 * D, 1)
+    first, second = star[:, i].ravel(), star[:, j].ravel()
+    _, keep = np.unique(first * (nsites * D) + second, return_index=True)
+    keep.sort()
+    first, second = first[keep], second[keep]
+    cls = classify_pairs(slot_tail, slot_head, slot_axis, first, second)
+    for t in keep[cls == PairClass.SAME] // len(i):
+        report.notes.append(f"doubled slot pair at site index {t} skipped (side-2 wrap)")
+    # every other star pair shares exactly the centre site: aligned or bent
+    touching = cls != PairClass.SAME
+    first, second = first[touching], second[touching]
+    aligned = cls[touching] == PairClass.ALIGNED
+    counts = _common_counts(members, first, second)
+    report.aligned_counts.update(counts[aligned].tolist())
+    report.bent_counts.update(counts[~aligned].tolist())
+    expected = np.where(aligned, aligned_expected, bent_expected or 0)  # D=1: none bent
+    for k in np.flatnonzero(counts != expected):
+        kind = "aligned" if aligned[k] else "bent"
+        report.discrepancies.append(
+            f"{kind} pair {where(first[k], second[k])}: count {counts[k]} != {expected[k]}"
+        )
 
     # --- disjoint pairs via displacement-class representatives
-    origin_idx = int(site_index(np.zeros(D, dtype=np.int64)))
-    for a1 in range(D):
-        slot1 = (origin_idx, a1)
-        for a2 in range(D):
-            for t2 in range(nsites):
-                slot2 = (t2, a2)
-                if classify_pair(edge[slot1], edge[slot2]) is PairClass.DISJOINT:
-                    check_pair(slot1, slot2, PairClass.DISJOINT)
+    origin = int(site_index(np.zeros(D, dtype=np.int64)))
+    a1, a2, t2 = (g.ravel() for g in np.indices((D, D, nsites)))
+    first, second = origin * D + a1, t2 * D + a2
+    disjoint = classify_pairs(slot_tail, slot_head, slot_axis, first, second)
+    first, second = (x[disjoint == PairClass.DISJOINT] for x in (first, second))
+    counts = _common_counts(members, first, second)
+    report.disjoint_counts.update(counts.tolist())
+    over = counts * disjoint_bound.denominator > disjoint_bound.numerator
+    for k in np.flatnonzero(over):
+        report.discrepancies.append(
+            f"disjoint pair {where(first[k], second[k])}: "
+            f"count {counts[k]} > bound {disjoint_bound}"
+        )
 
     return report

@@ -24,14 +24,13 @@ local term of Q or R, a dense matrix on its 3 (touching), 4 (disjoint) or
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from gapcert.lattice import PairClass, classify_pair
+from gapcert.lattice import PairClass, classify_pairs, edge_arrays
 
 DEFAULT_MATVEC_LIMIT = 2**28
 DEFAULT_DENSE_LIMIT = 4096  # largest dimension solved or materialized densely
@@ -95,19 +94,6 @@ class NNInteraction:
 
     def check(self, tol: float = PROJECTION_TOL) -> bool:
         return projection_check(self.P, tol)
-
-
-@functools.lru_cache(maxsize=128)
-def _pair_bit_groups(dim: int, b_hi: int, b_lo: int):
-    """Index groups for a two-site d=2 term: basis indices whose (b_hi, b_lo)
-    bits equal (g >> 1, g & 1), each group listed in the same residual order."""
-    rest = np.arange(dim >> 2, dtype=np.intp)
-    for b in sorted((b_hi, b_lo)):
-        low = rest & ((1 << b) - 1)
-        rest = ((rest >> b) << (b + 1)) | low
-    return tuple(
-        rest + ((g >> 1) << b_hi) + ((g & 1) << b_lo) for g in range(4)
-    )
 
 
 def _embedded_term(M, pos, m: int, d: int):
@@ -230,21 +216,10 @@ class ManyBodyOperator:
         vr = v.reshape((d,) * m + v.shape[1:])
         outr = out.reshape(vr.shape)
         for pos, M in zip(self._positions, self._mats):
-            if d == 2 and len(pos) == 2:
-                b_hi = m - 1 - pos[0]
-                b_lo = m - 1 - pos[1]
-                groups = _pair_bit_groups(self.dimension, b_hi, b_lo)
-                vals = [v[g] for g in groups]
-                for g in range(4):
-                    acc = M[g, 0] * vals[0]
-                    for h in range(1, 4):
-                        acc += M[g, h] * vals[h]
-                    out[groups[g]] += acc
-            else:
-                k = len(pos)
-                Mr = M.reshape((d,) * (2 * k))
-                t = np.tensordot(Mr, vr, axes=(tuple(range(k, 2 * k)), pos))
-                outr += np.moveaxis(t, tuple(range(k)), pos)
+            k = len(pos)
+            Mr = M.reshape((d,) * (2 * k))
+            t = np.tensordot(Mr, vr, axes=(tuple(range(k, 2 * k)), pos))
+            outr += np.moveaxis(t, tuple(range(k)), pos)
         return out
 
     def __matmul__(self, v):
@@ -398,12 +373,11 @@ def build_QR(
     """
     H = build_hamiltonian(interaction, edges, site_list, matvec_limit)
     ordered, terms = sorted(edges), H.terms
+    first, second = np.triu_indices(len(ordered), 1)  # itertools.combinations order
+    disjoint = classify_pairs(*edge_arrays(ordered), first, second) == PairClass.DISJOINT
     q_terms, r_terms = [], []
-    for i, j in itertools.combinations(range(len(ordered)), 2):
-        disjoint = classify_pair(ordered[i], ordered[j]) is PairClass.DISJOINT
-        (r_terms if disjoint else q_terms).append(
-            _anticommutator(terms[i], terms[j], H.d)
-        )
+    for i, j, apart in zip(first.tolist(), second.tolist(), disjoint.tolist()):
+        (r_terms if apart else q_terms).append(_anticommutator(terms[i], terms[j], H.d))
     return TermDecomposition(
         H=H,
         Q=ManyBodyOperator(H.site_list, H.d, q_terms),

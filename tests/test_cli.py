@@ -278,3 +278,78 @@ class TestSweep:
         assert f"{path},1,4,open,error,,,,,,0" in out
         assert "# error at n=4:" in out
         assert "# fit: skipped" in out
+
+
+# Full stdout of `verify counting`, byte for byte, on cases that fail: a
+# disjoint-bound failure, doubled side-2 slots, and more than ten
+# discrepancies (the "... and K more" line).
+COUNTING_GOLDEN = {
+    ('2', '3', '2'): (
+        'counting check: D=2, n=3, N=2 (torus side 4)\n'
+        'edges: expected 12, observed {12: 32}\n'
+        'aligned pairs: expected 8, observed {8: 32}\n'
+        'bent pairs: expected 9, observed {9: 64}\n'
+        'disjoint pairs: bound 9, observed {8: 20, 9: 24, 12: 6}\n'
+        'note: N=2 < 2n+1=7: closed forms are not guaranteed in this regime\n'
+        'discrepancy: disjoint pair tails (0, 0)/(0, -1) axes 0/0: count 12 > bound 9\n'
+        'discrepancy: disjoint pair tails (0, 0)/(0, 1) axes 0/0: count 12 > bound 9\n'
+        'discrepancy: disjoint pair tails (0, 0)/(0, 2) axes 0/0: count 12 > bound 9\n'
+        'discrepancy: disjoint pair tails (0, 0)/(-1, 0) axes 1/1: count 12 > bound 9\n'
+        'discrepancy: disjoint pair tails (0, 0)/(1, 0) axes 1/1: count 12 > bound 9\n'
+        'discrepancy: disjoint pair tails (0, 0)/(2, 0) axes 1/1: count 12 > bound 9\n'
+        'FAIL (6 discrepancies)\n'
+    ),
+    ('2', '2', '1'): (
+        'counting check: D=2, n=2, N=1 (torus side 2)\n'
+        'edges: expected 6, observed {4: 8}\n'
+        'aligned pairs: expected 3, observed {}\n'
+        'bent pairs: expected 4, observed {4: 16}\n'
+        'disjoint pairs: bound 4, observed {4: 4}\n'
+        'note: N=1 < 2n+1=5: closed forms are not guaranteed in this regime\n'
+        'note: doubled slot pair at site index 0 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 0 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 1 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 2 skipped (side-2 wrap)\n'
+        'discrepancy: edge tail=(0, 0) axis=0: count 4 != 6\n'
+        'discrepancy: edge tail=(0, 1) axis=0: count 4 != 6\n'
+        'discrepancy: edge tail=(1, 0) axis=0: count 4 != 6\n'
+        'discrepancy: edge tail=(1, 1) axis=0: count 4 != 6\n'
+        'discrepancy: edge tail=(0, 0) axis=1: count 4 != 6\n'
+        'discrepancy: edge tail=(0, 1) axis=1: count 4 != 6\n'
+        'discrepancy: edge tail=(1, 0) axis=1: count 4 != 6\n'
+        'discrepancy: edge tail=(1, 1) axis=1: count 4 != 6\n'
+        'FAIL (8 discrepancies)\n'
+    ),
+    ('2', '3', '1'): (
+        'counting check: D=2, n=3, N=1 (torus side 2)\n'
+        'edges: expected 12, observed {4: 8}\n'
+        'aligned pairs: expected 8, observed {}\n'
+        'bent pairs: expected 9, observed {4: 16}\n'
+        'disjoint pairs: bound 9, observed {4: 4}\n'
+        'note: N=1 < 2n+1=7: closed forms are not guaranteed in this regime\n'
+        'note: doubled slot pair at site index 0 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 0 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 1 skipped (side-2 wrap)\n'
+        'note: doubled slot pair at site index 2 skipped (side-2 wrap)\n'
+        'discrepancy: edge tail=(0, 0) axis=0: count 4 != 12\n'
+        'discrepancy: edge tail=(0, 1) axis=0: count 4 != 12\n'
+        'discrepancy: edge tail=(1, 0) axis=0: count 4 != 12\n'
+        'discrepancy: edge tail=(1, 1) axis=0: count 4 != 12\n'
+        'discrepancy: edge tail=(0, 0) axis=1: count 4 != 12\n'
+        'discrepancy: edge tail=(0, 1) axis=1: count 4 != 12\n'
+        'discrepancy: edge tail=(1, 0) axis=1: count 4 != 12\n'
+        'discrepancy: edge tail=(1, 1) axis=1: count 4 != 12\n'
+        'discrepancy: bent pair tails (0, 0)/(0, 0) axes 0/1: count 4 != 9\n'
+        'discrepancy: bent pair tails (0, 0)/(0, 1) axes 0/1: count 4 != 9\n'
+        '... and 14 more\n'
+        'FAIL (24 discrepancies)\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("D,n,N", sorted(COUNTING_GOLDEN))
+def test_counting_output_golden(capsys, D, n, N):
+    rc, out, err = run(capsys, "verify", "counting", "--D", D, "--n", n, "--N", N)
+    assert rc == 1
+    assert out == COUNTING_GOLDEN[(D, n, N)]
+    assert err == ""

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,47 @@ def test_box_wrap_repeats_sites():
     ss = box_sites(BoxRegion((0,), 2), geo)
     assert len(ss) == 3
     assert len(set(ss)) == 2
+
+
+@pytest.mark.parametrize(
+    "D,n,N",
+    [(1, 2, 1), (1, 3, 2), (1, 2, 5), (2, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 1)],
+)
+def test_counting_report_matches_brute_force(D, n, N):
+    # every vertex-sharing pair of slots and every disjoint pair with its first
+    # slot at the origin, each counted by walking all box translates
+    geo = LatticeGeometry(D=D, N=N)
+    report = verify_counting_lemma(n, geo)
+    slots = periodic_edges(geo)
+    counts = {cls: Counter() for cls in PairClass}
+    for e1, e2 in itertools.combinations(slots, 2):
+        cls = classify_pair(e1, e2)
+        if cls is PairClass.SAME:
+            counts[cls][None] += 1
+        elif cls is not PairClass.DISJOINT:
+            counts[cls][count_boxes_containing((e1, e2), n, geo)] += 1
+    for axis in range(D):
+        e1 = make_edge((0,) * D, axis, geo)
+        for e2 in slots:
+            if classify_pair(e1, e2) is PairClass.DISJOINT:
+                counts[PairClass.DISJOINT][count_boxes_containing((e1, e2), n, geo)] += 1
+    edge_counts = Counter(count_boxes_containing(e, n, geo) for e in slots)
+
+    assert report.edge_counts == edge_counts
+    assert report.aligned_counts == counts[PairClass.ALIGNED]
+    assert report.bent_counts == counts[PairClass.BENT]
+    assert report.disjoint_counts == counts[PairClass.DISJOINT]
+    doubled = sum("doubled slot pair" in note for note in report.notes)
+    assert doubled == counts[PairClass.SAME][None]
+    assert (doubled > 0) == (N == 1)
+
+    def misses(counter, ok):
+        return sum(v for c, v in counter.items() if not ok(c))
+
+    expected_failures = (
+        misses(edge_counts, lambda c: c == report.edge_expected)
+        + misses(counts[PairClass.ALIGNED], lambda c: c == report.aligned_expected)
+        + misses(counts[PairClass.BENT], lambda c: c == report.bent_expected)
+        + misses(counts[PairClass.DISJOINT], lambda c: c <= report.disjoint_bound)
+    )
+    assert len(report.discrepancies) == expected_failures
