@@ -31,7 +31,7 @@ import numpy as np
 
 # Cap on the number of torus translates any enumeration walks over.
 DEFAULT_ENUMERATION_LIMIT = 10**6
-_PAIR_CHUNK = 4096  # pairs per array pass of `_common_counts`
+_PAIR_CHUNK = 1024  # pairs per array pass of `_common_counts`
 
 Site = tuple  # integer coordinate tuple of length D
 
@@ -302,9 +302,10 @@ def verify_counting_lemma(n: int, geometry: LatticeGeometry) -> CountReport:
     # sorted box translates containing it, index(t - p) over the tail offsets p
     # of the box's axis-a edges.  A box wider than the torus meets a slot twice;
     # each repeat becomes a distinct negative value that matches nothing.
-    offsets = np.array([_box_axis_offsets(D, n, a) for a in range(D)])  # (D, K, D)
-    members = np.sort(site_index(coords[:, None, None, :] - offsets), axis=2)
-    members = members.reshape(nsites * D, -1)
+    members = np.empty((nsites * D, edge_expected), dtype=np.int64)  # one box per tail offset
+    for a in range(D):
+        members[a::D] = site_index(coords[:, None, :] - np.array(_box_axis_offsets(D, n, a)))
+    members.sort(axis=1)
     repeat = np.diff(members, axis=1, prepend=-1) == 0
     members[repeat] = -1 - np.flatnonzero(repeat)
 
