@@ -236,7 +236,7 @@ def _common_counts(members, first, second) -> np.ndarray:
     """|S_first & S_second| per pair, for rows of `members` without repeats.
 
     Sorted together, two rows show each common element as equal neighbours;
-    chunking bounds the scratch at _PAIR_CHUNK x 2K integers for rows of K.
+    chunking bounds the temporaries at _PAIR_CHUNK x 2K integers for rows of K.
     """
     out = np.empty(len(first), dtype=np.int64)
     for lo in range(0, len(first), _PAIR_CHUNK):
