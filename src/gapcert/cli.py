@@ -262,6 +262,8 @@ def _verify_counting(cfg: RunConfig) -> int:
 def _verify_square_identity(cfg: RunConfig) -> int:
     if cfg.side is None or cfg.side < 2:
         raise ValueError(f"--side must be >= 2, got {cfg.side}")
+    if cfg.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.model == "random":
         if cfg.rank is None:
             raise ValueError("--model random needs --rank")

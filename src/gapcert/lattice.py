@@ -66,10 +66,6 @@ class Edge:
     head: Site
     axis: int
 
-    @property
-    def endpoints(self) -> frozenset:
-        return frozenset((self.tail, self.head))
-
 
 @dataclass(frozen=True)
 class BoxRegion:

@@ -2,23 +2,25 @@
 
 A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
-An operator is a term list.  Every solver works on one representation, a
-scipy.sparse CSR matrix assembled once per operator by index arithmetic on
-the tensor basis: float64 when every term is exactly real, complex128
-otherwise.  The matrix-free matvec (`apply`) stays as an independent path
-for residuals and for the square-identity check.  Basis convention: site
-order follows the site list, with the first site the most significant
-tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) -- the layout
-np.kron produces.  An interaction may declare per-site charges whose pair
-sum P conserves; `build_hamiltonian` hands them to the operator, and the
-spectral solvers then split it into total-charge blocks.
+An operator is a term list with one `dtype`: float64 when every term is
+exactly real, complex128 otherwise.  Every solver works on one
+representation, a scipy.sparse CSR matrix of that dtype assembled once per
+operator by index arithmetic on the tensor basis.  The matrix-free matvec
+(`apply`) stays as an independent path for residuals and for the
+square-identity check; it computes in the common type of the vector and
+the operator, so real models run real matvecs on real vectors.  Basis
+convention: site order follows the site list, with the first site the
+most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
+the layout np.kron produces.  An interaction may declare per-site charges
+whose pair sum P conserves; `build_hamiltonian` hands them to the operator,
+and the spectral solvers then split it into total-charge blocks.
 
 Squaring H = sum_e h_e with h_e^2 = h_e gives H^2 = H + Q + R, where Q
 collects anticommutators {h_e, h_e'} of touching distinct edge pairs and R
 those of disjoint (hence commuting) pairs; each R summand is a product of
 commuting positive-semidefinite projections, so R >= 0.  Each pair is one
 local term of Q or R, a dense matrix on its 3 (touching), 4 (disjoint) or
-2 (doubled side-2 slot) sites.
+2 (doubled side-2 slot) sites; pairs that overlap alike share one matrix.
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ class ManyBodyOperator:
 
     `terms` is a list of (sites, matrix) with `sites` a tuple of entries of
     `site_list` (length k >= 1) and `matrix` of shape (d^k, d^k) acting on
-    those tensor factors in the given order.  `charges`, if given, are d
+    those tensor factors in the given order.  `dtype` is float64 when every
+    term's imaginary part is exactly zero, else complex128; the terms are
+    stored, assembled and applied in it.  `charges`, if given, are d
     per-site integers whose total every term conserves (the caller's
     guarantee; `NNInteraction` checks it); the spectral solvers then work
     sector by sector.
@@ -160,19 +164,22 @@ class ManyBodyOperator:
         self.dimension = self.d ** len(self.site_list)
         index = {s: i for i, s in enumerate(self.site_list)}
         self._positions = []
-        self._mats = []
+        mats = []
         for sites_of_term, M in terms:
             pos = tuple(index[s] for s in sites_of_term)
             if len(set(pos)) != len(pos):
                 raise ValueError(f"term touches a site twice: {sites_of_term}")
-            M = np.ascontiguousarray(M, dtype=np.complex128)
+            M = np.asarray(M, dtype=np.complex128)
             want = self.d ** len(pos)
             if M.shape != (want, want):
                 raise ValueError(
                     f"term matrix shape {M.shape} does not match d^{len(pos)} = {want}"
                 )
             self._positions.append(pos)
-            self._mats.append(M)
+            mats.append(M)
+        real = not any(M.imag.any() for M in mats)
+        self.dtype = np.dtype(np.float64 if real else np.complex128)
+        self._mats = [np.ascontiguousarray(M.real if real else M) for M in mats]
         self._csr = None
 
     @property
@@ -187,26 +194,23 @@ class ManyBodyOperator:
         return len(self._mats)
 
     def sparse(self):
-        """The operator as a CSR matrix, assembled on first use and kept.
-
-        float64 when every term's imaginary part is exactly zero, else
-        complex128.
-        """
+        """The operator as a CSR matrix of `dtype`, assembled on first use and kept."""
         if self._csr is None:
-            real = not any(M.imag.any() for M in self._mats)
             m, d = len(self.site_list), self.d
             self._csr = _sum_csr(
                 self.dimension,
-                (
-                    _embedded_term(M.real if real else M, pos, m, d)
-                    for pos, M in zip(self._positions, self._mats)
-                ),
+                (_embedded_term(M, pos, m, d) for pos, M in zip(self._positions, self._mats)),
             )
         return self._csr
 
     def apply(self, v):
-        """Matvec; accepts a vector (dim,) or a column batch (dim, nb)."""
-        v = np.asarray(v, dtype=np.complex128)
+        """Matvec; accepts a vector (dim,) or a column batch (dim, nb).
+
+        Computes in the common type of v and `dtype`: a real vector on a real
+        operator stays real, a complex vector stays complex.
+        """
+        v = np.asarray(v)
+        v = v.astype(np.result_type(v, self.dtype), copy=False)
         if v.shape[0] != self.dimension:
             raise ValueError(
                 f"vector length {v.shape[0]} does not match dimension {self.dimension}"
@@ -333,12 +337,6 @@ def build_hamiltonian(
     return ManyBodyOperator(site_list, interaction.d, terms, interaction.charges)
 
 
-def single_term_operator(op: ManyBodyOperator, term_index: int) -> ManyBodyOperator:
-    """One embedded term of `op` as a standalone operator on the same sites."""
-    sites_of_term, M = op.terms[term_index]
-    return ManyBodyOperator(op.site_list, op.d, [(sites_of_term, M)])
-
-
 def _anticommutator(term1, term2, d: int):
     """{h1, h2} of two local terms as one matrix on the union of their sites.
 
@@ -370,14 +368,26 @@ def build_QR(
     Each unordered pair is one term {h1, h2}, so a disjoint pair enters R as
     h1 h2 + h2 h1 = 2 h1 h2.  Pairs of distinct slots carrying the same
     endpoints (side-2 wrap) do not commute in general and are kept in Q.
+
+    Every H term is `interaction.P`, so a pair's anticommutator depends only
+    on its overlap pattern: where e'.tail and e'.head fall in the union
+    (e.tail, e.head, ...).  Each pattern's matrix is formed once, on the
+    placeholder sites 0..k-1, and shared by all pairs with that pattern.
     """
     H = build_hamiltonian(interaction, edges, site_list, matvec_limit)
-    ordered, terms = sorted(edges), H.terms
+    ordered = sorted(edges)
     first, second = np.triu_indices(len(ordered), 1)  # itertools.combinations order
     disjoint = classify_pairs(*edge_arrays(ordered), first, second) == PairClass.DISJOINT
+    by_pattern = {}
     q_terms, r_terms = [], []
     for i, j, apart in zip(first.tolist(), second.tolist(), disjoint.tolist()):
-        (r_terms if apart else q_terms).append(_anticommutator(terms[i], terms[j], H.d))
+        e, f = ordered[i], ordered[j]
+        union = tuple(dict.fromkeys((e.tail, e.head, f.tail, f.head)))
+        pattern = (union.index(f.tail), union.index(f.head))
+        if pattern not in by_pattern:
+            P = interaction.P
+            by_pattern[pattern] = _anticommutator(((0, 1), P), (pattern, P), H.d)[1]
+        (r_terms if apart else q_terms).append((union, by_pattern[pattern]))
     return TermDecomposition(
         H=H,
         Q=ManyBodyOperator(H.site_list, H.d, q_terms),
@@ -421,9 +431,19 @@ def verify_square_identity(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> SquareIdentityReport:
-    """Check H^2 = H + Q + R on random unit vectors; exact up to roundoff."""
+    """Check H^2 = H + Q + R on random unit vectors; exact up to roundoff.
+
+    The vectors are real Gaussians when H, Q and R are all float64, complex
+    Gaussians otherwise.  A real draw loses no power: T = H^2 - H - Q - R is
+    then a real matrix and T(a + ib) = Ta + iTb, so a nonzero T maps a real
+    Gaussian vector to a nonzero one with probability 1, as it does a
+    complex one.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dec = build_QR(interaction, edges, site_list)
     H, Q, R = dec.H, dec.Q, dec.R
+    real = all(op.dtype == np.float64 for op in (H, Q, R))
     rng = np.random.default_rng(seed)
     report = SquareIdentityReport(
         tol=tol,
@@ -432,7 +452,9 @@ def verify_square_identity(
     )
     dim = H.dimension
     for _ in range(trials):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = rng.standard_normal(dim)
+        if not real:
+            v = v + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         hv = H.apply(v)
         resid = H.apply(hv) - hv - Q.apply(v) - R.apply(v)

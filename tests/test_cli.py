@@ -186,6 +186,16 @@ class TestVerify:
         assert rc == 3
         assert "--rank" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_square_identity_needs_a_trial(self, capsys, trials):
+        rc, out, err = run(
+            capsys, "verify", "square-identity", "--model", "heisenberg-ferro", "--D", "1",
+            "--side", "4", "--trials", trials,
+        )
+        assert rc == 3
+        assert "--trials" in err
+        assert "PASS" not in out
+
     def test_cauchy_schwarz(self, capsys):
         rc, out, _ = run(capsys, "verify", "cauchy-schwarz", "--d", "2", "--samples", "10")
         assert rc == 0

@@ -20,13 +20,14 @@ from gapcert.operators import (
     DimensionLimitError,
     ManyBodyOperator,
     NNInteraction,
+    TermDecomposition,
     build_QR,
     build_hamiltonian,
     cauchy_schwarz_witness,
     dense_matrix,
     projection_check,
+    _anticommutator,
     projection_defects,
-    single_term_operator,
     verify_square_identity,
 )
 
@@ -43,6 +44,12 @@ def random_vec(dim, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def single_term_operator(op, term_index):
+    """One embedded term of `op` as a standalone operator on the same sites."""
+    sites_of_term, M = op.terms[term_index]
+    return ManyBodyOperator(op.site_list, op.d, [(sites_of_term, M)])
 
 
 class TestProjectionCheck:
@@ -289,6 +296,18 @@ class TestBuildHamiltonian:
             build_hamiltonian(FERRO, grid_edges(1, 8), grid_sites(1, 8), matvec_limit=100)
 
 
+QR_CASES = [
+    (FERRO, grid_edges(2, 3, periodic=True), grid_sites(2, 3)),
+    (aklt(), grid_edges(1, 5, periodic=True), grid_sites(1, 5)),
+    (
+        random_projection(2, 2, seed=5),
+        periodic_edges(LatticeGeometry(D=2, N=1)),
+        sites(LatticeGeometry(D=2, N=1)),
+    ),
+]
+QR_IDS = ["ferro_torus3x3", "aklt_ring5", "random_side2"]
+
+
 class TestBuildQR:
     def test_single_edge(self):
         dec = build_QR(FERRO, grid_edges(1, 2), grid_sites(1, 2))
@@ -318,19 +337,7 @@ class TestBuildQR:
         assert dec.n_touching_pairs == 1
         assert dec.n_disjoint_pairs == 0
 
-    @pytest.mark.parametrize(
-        "model, edges, site_list",
-        [
-            (FERRO, grid_edges(2, 3, periodic=True), grid_sites(2, 3)),
-            (aklt(), grid_edges(1, 5, periodic=True), grid_sites(1, 5)),
-            (
-                random_projection(2, 2, seed=5),
-                periodic_edges(LatticeGeometry(D=2, N=1)),
-                sites(LatticeGeometry(D=2, N=1)),
-            ),
-        ],
-        ids=["ferro_torus3x3", "aklt_ring5", "random_side2"],
-    )
+    @pytest.mark.parametrize("model, edges, site_list", QR_CASES, ids=QR_IDS)
     def test_local_terms_match_products(self, model, edges, site_list):
         dec = build_QR(model, edges, site_list)
         limit = dec.H.dimension
@@ -341,7 +348,8 @@ class TestBuildQR:
         widths = {"Q": [], "R": []}
         for i in range(len(h)):
             for j in range(i + 1, len(h)):
-                width = len(ordered[i].endpoints | ordered[j].endpoints)
+                ei, ej = ordered[i], ordered[j]
+                width = len(frozenset((ei.tail, ei.head)) | frozenset((ej.tail, ej.head)))
                 if classify_pair(ordered[i], ordered[j]) is PairClass.DISJOINT:
                     R += h[i] @ h[j] + h[j] @ h[i]
                     widths["R"].append(width)
@@ -356,6 +364,75 @@ class TestBuildQR:
         assert sorted(len(s) for s, _ in dec.Q.terms) == sorted(widths["Q"])
         assert sorted(len(s) for s, _ in dec.R.terms) == sorted(widths["R"])
         assert set(widths["Q"]) <= {2, 3} and set(widths["R"]) == {4}
+
+    @pytest.mark.parametrize("model, edges, site_list", QR_CASES, ids=QR_IDS)
+    def test_shared_terms_equal_per_pair_anticommutators(self, model, edges, site_list):
+        # one matrix per overlap pattern, bitwise equal to forming each pair's own
+        dec = build_QR(model, edges, site_list)
+        ordered = sorted(edges)
+        expected = {"Q": [], "R": []}
+        for i in range(len(ordered)):
+            for j in range(i + 1, len(ordered)):
+                e, f = ordered[i], ordered[j]
+                pair = ((e.tail, e.head), model.P), ((f.tail, f.head), model.P)
+                term = _anticommutator(*pair, model.d)
+                disjoint = classify_pair(e, f) is PairClass.DISJOINT
+                expected["R" if disjoint else "Q"].append(term)
+        for op, want in ((dec.Q, expected["Q"]), (dec.R, expected["R"])):
+            assert len(op.terms) == len(want)
+            for (sites_of_term, M), (union, A) in zip(op.terms, want):
+                assert sites_of_term == union
+                assert np.array_equal(M, A)
+
+
+def with_one_R_entry_shifted(dec, delta):
+    """`dec` with `delta` added to entry (0, 0) of its first R term."""
+    terms = dec.R.terms
+    sites_of_term, M = terms[0]
+    M = M.astype(np.result_type(M, delta))
+    M[0, 0] += delta
+    terms[0] = (sites_of_term, M)
+    R = ManyBodyOperator(dec.R.site_list, dec.R.d, terms)
+    return TermDecomposition(dec.H, dec.Q, R, dec.n_touching_pairs, dec.n_disjoint_pairs)
+
+
+class TestRealArithmetic:
+    def test_operator_dtype(self):
+        edges, site_list = grid_edges(1, 4, periodic=True), grid_sites(1, 4)
+        for model in (FERRO, aklt()):
+            assert build_hamiltonian(model, edges, site_list).dtype == np.float64
+        model = random_projection(3, 2, seed=4)
+        assert build_hamiltonian(model, edges, site_list).dtype == np.complex128
+
+    def test_real_vector_stays_real(self):
+        H = build_hamiltonian(aklt(), grid_edges(1, 5, periodic=True), grid_sites(1, 5))
+        rng = np.random.default_rng(12)
+        for shape in ((H.dimension,), (H.dimension, 3)):
+            v = rng.standard_normal(shape)
+            out = H.apply(v)
+            assert out.dtype == np.float64
+            assert_allclose(out, H.apply(v.astype(np.complex128)), rtol=0, atol=1e-13)
+        w = random_vec(H.dimension, seed=13)
+        assert H.apply(w).dtype == np.complex128
+        assert_allclose(H.apply(w), H.sparse() @ w, rtol=0, atol=1e-13)
+
+    def test_complex_operator_keeps_complex(self):
+        model = random_projection(2, 2, seed=6)
+        H = build_hamiltonian(model, grid_edges(1, 4), grid_sites(1, 4))
+        v = np.random.default_rng(14).standard_normal(H.dimension)
+        assert H.apply(v).dtype == np.complex128
+        assert_allclose(H.apply(v), H.sparse() @ v, rtol=0, atol=1e-13)
+
+    def test_square_identity_detects_shifted_R_entry(self, monkeypatch):
+        args = (FERRO, grid_edges(2, 3, periodic=True), grid_sites(2, 3))
+        assert verify_square_identity(*args, trials=3).passed
+        for delta, dtype in ((1e-6, np.float64), (1e-6j, np.complex128)):
+            dec = with_one_R_entry_shifted(build_QR(*args), delta)
+            assert dec.R.dtype == dtype
+            monkeypatch.setattr("gapcert.operators.build_QR", lambda *a, dec=dec: dec)
+            report = verify_square_identity(*args, trials=3)
+            assert not report.passed
+            assert report.max_residual > 1e-8
 
 
 class TestSquareIdentity:
@@ -379,6 +456,11 @@ class TestSquareIdentity:
             inter, periodic_edges(geo), sites(geo), trials=10
         )
         assert report.passed  # tol 1e-10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify_square_identity(FERRO, grid_edges(1, 3), grid_sites(1, 3), trials=trials)
 
     def test_deterministic(self):
         args = (FERRO, grid_edges(1, 5), grid_sites(1, 5))
