@@ -650,6 +650,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig.from_args(args)
     try:
+        if cfg.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, ModelFormatError, DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,8 +30,6 @@ import scipy.linalg
 
 from gapcert.operators import (
     DEFAULT_DENSE_LIMIT,
-    DEFAULT_MATVEC_LIMIT,
-    DimensionLimitError,
     ManyBodyOperator,
     dense_matrix,
     projection_check,
@@ -185,14 +183,9 @@ def build_Cn_region(n: int, R: int):
     return sorted(_cube_sites(itertools.product(range(n + 1), repeat=3), R))
 
 
-def build_HCn(spec: FiniteRangeSpec, n: int, matvec_limit: int = DEFAULT_MATVEC_LIMIT) -> ManyBodyOperator:
+def build_HCn(spec: FiniteRangeSpec, n: int) -> ManyBodyOperator:
     """Open-boundary Hamiltonian on C_n: all translates x+S inside the region."""
     region = build_Cn_region(n, spec.R)
-    dim = spec.d ** len(region)
-    if dim > matvec_limit:
-        raise DimensionLimitError(
-            f"region dimension {spec.d}^{len(region)} exceeds limit {matvec_limit}"
-        )
     return ManyBodyOperator(region, spec.d, _region_terms(spec, region))
 
 
@@ -254,14 +247,6 @@ class CoarseClass:
     def matrix(self, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
-        dim = self.block_dim
-        if dim > limit:
-            raise DimensionLimitError(
-                f"{self.kind.value} block dimension {self.d}^"
-                f"{self.n_cubes * self.R**3} = {dim} exceeds limit {limit}; "
-                f"materialization is feasible only for "
-                f"d^(cubes*R^3) <= {limit}"
-            )
         sites = self.block_sites()
         terms = []
         for shape, anchor in self.assigned:
@@ -270,14 +255,14 @@ class CoarseClass:
             )
             terms.append((term_sites, shape.projection))
         op = ManyBodyOperator(sites, self.d, terms)
-        H = dense_matrix(op, limit=dim)
+        H = dense_matrix(op, limit=limit)
         if len(self.assigned) == 1 and self.assigned[0][0].n_sites == len(sites):
             # single term covering the whole block: H is already the
             # complement-of-kernel projection, entrywise exact
             M = H
         else:
             V = _kernel_basis(H)
-            M = np.eye(dim, dtype=np.complex128) - V @ V.conj().T
+            M = np.eye(op.dimension, dtype=np.complex128) - V @ V.conj().T
             M = (M + M.conj().T) / 2
         self._matrix = M
         return M
@@ -397,17 +382,9 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
     if not cube_set:
         raise ValueError("region contains no cubes")
     region = _cube_sites(cube_set, R)
-    dim = spec.d ** len(region)
-    if dim > limit:
-        max_sites = int(np.log(limit) / np.log(spec.d))
-        raise DimensionLimitError(
-            f"region dimension {spec.d}^{len(region)} exceeds dense limit "
-            f"{limit}; at d={spec.d}, R={R} the dense check is "
-            f"feasible for at most {max_sites // R**3} cube(s)"
-        )
 
     H_orig = dense_matrix(
-        ManyBodyOperator(region, spec.d, _region_terms(spec, region)), limit=dim
+        ManyBodyOperator(region, spec.d, _region_terms(spec, region)), limit=limit
     )
 
     cg = coarse_grain(spec)
@@ -425,7 +402,7 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
             if not all(b in cube_index for b in covered):
                 continue
             coarse_terms.append((tuple(_cube_sites(covered, R)), M))
-    H_cg = dense_matrix(ManyBodyOperator(region, spec.d, coarse_terms), limit=dim)
+    H_cg = dense_matrix(ManyBodyOperator(region, spec.d, coarse_terms), limit=limit)
 
     V1 = _kernel_basis(H_orig)
     V2 = _kernel_basis(H_cg)

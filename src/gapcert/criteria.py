@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from gapcert.lattice import (
     BoxRegion,
@@ -44,13 +45,12 @@ from gapcert.lattice import (
     sites,
 )
 from gapcert.operators import (
-    DEFAULT_MATVEC_LIMIT,
     CompositeOperator,
-    DimensionLimitError,
     ManyBodyOperator,
     NNInteraction,
     build_QR,
     build_hamiltonian,
+    dense_matrix,
 )
 from gapcert.spectral import (
     DEFAULT_CONFIG,
@@ -58,7 +58,6 @@ from gapcert.spectral import (
     EigenSolveConfig,
     GapReport,
     check_operator_inequality,
-    _eigensolve,
     lowest_eigenvalues,
     spectral_gap,
 )
@@ -373,8 +372,8 @@ def verify_proposition_key(
 
     The torus has (2N)^D sites, so full witnesses are only reachable far
     below the criterion's own regime (N >= 2n+1, D >= 3); out-of-regime
-    runs are labeled in the report.  Refuses with the feasible envelope
-    when the torus dimension exceeds the matvec limit.
+    runs are labeled in the report.  A torus past the operators' dimension
+    cap is refused when H is built, naming the number of sites that fit.
     """
     if D < 2:
         raise ValueError(
@@ -383,15 +382,6 @@ def verify_proposition_key(
     if n < 1 or N < 1:
         raise ValueError(f"n and N must be >= 1, got n={n}, N={N}")
     geom = LatticeGeometry(D=D, N=N)
-    n_sites = geom.n_sites
-    dim = model.d**n_sites
-    if dim > DEFAULT_MATVEC_LIMIT:
-        max_sites = int(math.log(DEFAULT_MATVEC_LIMIT, model.d))
-        raise DimensionLimitError(
-            f"torus dimension {model.d}^{n_sites} exceeds matvec limit "
-            f"{DEFAULT_MATVEC_LIMIT}; at d={model.d} the witnesses are feasible for "
-            f"at most {max_sites} sites, e.g. (2N)^D <= {max_sites}"
-        )
     notes = []
     in_regime = D >= 3 and n >= 3 and N >= 2 * n + 1
     if not in_regime:
@@ -403,6 +393,7 @@ def verify_proposition_key(
     torus_sites = sites(geom)
     dec = build_QR(model, periodic_edges(geom), torus_sites)
     H = dec.H
+    dim = H.dimension
     Hc = CompositeOperator.from_operator(H)
 
     box_ops = []
@@ -464,7 +455,8 @@ def per_box_bound_witness(
     H = build_hamiltonian(
         model, grid_edges(D, n + 1), grid_sites(D, n + 1)
     )
-    vals, _, _ = _eigensolve(H, config or DEFAULT_CONFIG, vectors=False)
+    limit = (config or DEFAULT_CONFIG).dense_limit
+    vals = scipy.linalg.eigvalsh(dense_matrix(H, limit=limit))
     above = vals[vals > kernel_tol]
     if above.size == 0:
         raise ValueError("box Hamiltonian has no eigenvalue above the kernel tolerance")

@@ -94,11 +94,12 @@ def canonical_site(coords, geometry: LatticeGeometry) -> Site:
     return tuple(((int(c) + N - 1) % side) - N + 1 for c in coords)
 
 
-def sites(geometry: LatticeGeometry, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT):
+def sites(geometry: LatticeGeometry):
     """All canonical sites in lexicographic order; (2N)^D of them."""
-    if geometry.n_sites > enumeration_limit:
+    if geometry.n_sites > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(
-            f"site enumeration of size {geometry.n_sites} exceeds limit {enumeration_limit}"
+            f"site enumeration of size {geometry.n_sites} exceeds limit "
+            f"{DEFAULT_ENUMERATION_LIMIT}"
         )
     rng = range(-geometry.N + 1, geometry.N + 1)
     return [tuple(c) for c in itertools.product(rng, repeat=geometry.D)]

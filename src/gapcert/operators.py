@@ -15,6 +15,11 @@ the layout np.kron produces.  An interaction may declare per-site charges
 whose pair sum P conserves; `build_hamiltonian` hands them to the operator,
 and the spectral solvers then split it into total-charge blocks.
 
+Two size guards, each checked in one place: `ManyBodyOperator.__init__`
+refuses a dimension past `MAX_DIMENSION`, before anything is allocated,
+and `dense_matrix` refuses a dense array past the caller's dense limit.
+Both name the number of sites that fit.
+
 Squaring H = sum_e h_e with h_e^2 = h_e gives H^2 = H + Q + R, where Q
 collects anticommutators {h_e, h_e'} of touching distinct edge pairs and R
 those of disjoint (hence commuting) pairs; each R summand is a product of
@@ -34,13 +39,21 @@ import scipy.sparse
 
 from gapcert.lattice import PairClass, classify_pairs, edge_arrays
 
-DEFAULT_MATVEC_LIMIT = 2**28
+MAX_DIMENSION = 2**28  # largest dimension of any operator
 DEFAULT_DENSE_LIMIT = 4096  # largest dimension solved or materialized densely
 PROJECTION_TOL = 1e-12
 
 
 class DimensionLimitError(RuntimeError):
     """Raised when an operation would exceed a configured dimension limit."""
+
+
+def _sites_within(d: int, limit: int) -> int:
+    """Largest number of sites m with d^m <= limit."""
+    m = 0
+    while d ** (m + 1) <= limit:
+        m += 1
+    return m
 
 
 def projection_defects(P) -> tuple[float, float]:
@@ -152,7 +165,8 @@ class ManyBodyOperator:
     stored, assembled and applied in it.  `charges`, if given, are d
     per-site integers whose total every term conserves (the caller's
     guarantee; `NNInteraction` checks it); the spectral solvers then work
-    sector by sector.
+    sector by sector.  A dimension past `MAX_DIMENSION` is refused with
+    DimensionLimitError before any term is read.
     """
 
     def __init__(self, site_list, d: int, terms, charges=None):
@@ -162,6 +176,12 @@ class ManyBodyOperator:
         if len(set(self.site_list)) != len(self.site_list):
             raise ValueError("site list contains duplicates")
         self.dimension = self.d ** len(self.site_list)
+        if self.dimension > MAX_DIMENSION:
+            raise DimensionLimitError(
+                f"dimension {self.d}^{len(self.site_list)} exceeds the dimension cap "
+                f"{MAX_DIMENSION}; at d={self.d} operators are feasible on at most "
+                f"{_sites_within(self.d, MAX_DIMENSION)} sites"
+            )
         index = {s: i for i, s in enumerate(self.site_list)}
         self._positions = []
         mats = []
@@ -315,23 +335,12 @@ class TermDecomposition:
     n_disjoint_pairs: int = 0
 
 
-def build_hamiltonian(
-    interaction: NNInteraction,
-    edges,
-    site_list,
-    matvec_limit: int | None = DEFAULT_MATVEC_LIMIT,
-) -> ManyBodyOperator:
+def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyOperator:
     """Sum of the interaction embedded on every edge; term order = sorted edges."""
     if not interaction.check():
         herm, idem = projection_defects(interaction.P)
         raise ValueError(
             f"interaction failed projection check: ||P-P*||={herm:.3g}, ||P^2-P||={idem:.3g}"
-        )
-    site_list = list(site_list)
-    dim = interaction.d ** len(site_list)
-    if matvec_limit is not None and dim > matvec_limit:
-        raise DimensionLimitError(
-            f"dimension {interaction.d}^{len(site_list)} exceeds matvec limit {matvec_limit}"
         )
     terms = [((e.tail, e.head), interaction.P) for e in sorted(edges)]
     return ManyBodyOperator(site_list, interaction.d, terms, interaction.charges)
@@ -357,12 +366,7 @@ def _anticommutator(term1, term2, d: int):
     return union, A @ B + B @ A
 
 
-def build_QR(
-    interaction: NNInteraction,
-    edges,
-    site_list,
-    matvec_limit: int | None = DEFAULT_MATVEC_LIMIT,
-) -> TermDecomposition:
+def build_QR(interaction: NNInteraction, edges, site_list) -> TermDecomposition:
     """H plus the anticommutator sums Q (touching pairs) and R (disjoint pairs).
 
     Each unordered pair is one term {h1, h2}, so a disjoint pair enters R as
@@ -374,7 +378,7 @@ def build_QR(
     (e.tail, e.head, ...).  Each pattern's matrix is formed once, on the
     placeholder sites 0..k-1, and shared by all pairs with that pattern.
     """
-    H = build_hamiltonian(interaction, edges, site_list, matvec_limit)
+    H = build_hamiltonian(interaction, edges, site_list)
     ordered = sorted(edges)
     first, second = np.triu_indices(len(ordered), 1)  # itertools.combinations order
     disjoint = classify_pairs(*edge_arrays(ordered), first, second) == PairClass.DISJOINT
@@ -399,9 +403,11 @@ def build_QR(
 
 def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """The operator's CSR as a dense array, refused past `limit`."""
-    dim = op.dimension
-    if dim > limit:
-        raise DimensionLimitError(f"dimension {dim} exceeds dense limit {limit}")
+    if op.dimension > limit:
+        raise DimensionLimitError(
+            f"dimension {op.dimension} exceeds dense limit {limit}; "
+            f"at d={op.d} at most {_sites_within(op.d, limit)} sites fit"
+        )
     return op.sparse().toarray()
 
 

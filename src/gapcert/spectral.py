@@ -11,15 +11,19 @@ resolve the clustered near-zero spectra frustration-free Hamiltonians
 produce.  Residuals come from the matrix-free `apply`, a path independent
 of the CSR assembly.
 
-`spectral_gap` solves an operator that declares per-site charges (both
-built-in models conserve total Sz) one total-charge block at a time: the
-CSR is permuted once by charge label and cut into its diagonal blocks.
+There is one solve path, shared by `spectral_gap`, `lowest_eigenvalues`
+and the inequality witness built on it.  An operator that declares
+per-site charges (both built-in models conserve total Sz) is solved one
+total-charge block at a time: the CSR is permuted once by charge label and
+cut into its diagonal blocks; an operator without charges is one block.
 The dense limit still compares the whole dimension, so it picks the path
 for every block; on the iterative path a block too small for ARPACK to
-reach past its kernel is solved by dense `eigh`.  gap = min over blocks
-and kernel_dim = sum over blocks.  A degenerate kernel spread over
-sectors, such as a total-spin multiplet, is then counted exactly on both
-paths.  The kernel dimension is an estimate only where ARPACK solves a
+reach past its kernel, or for the k asked of it, is solved by dense
+`eigh`.  The lowest pairs are merged across blocks and their eigenvectors
+embedded back into the full space.  gap = min over blocks and
+kernel_dim = sum over blocks.  A degenerate kernel spread over sectors,
+such as a total-spin multiplet, is then counted exactly on both paths.
+The kernel dimension is an estimate only where ARPACK solves a
 block, or an operator without charges, whose own kernel is degenerate:
 Lanczos may not resolve that multiplicity even when the gap itself is
 converged well past the requested tolerance.
@@ -34,7 +38,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, dense_matrix
+from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator
 
 KERNEL_TOL = 1e-8
 # Largest |Im| of a Ritz value, relative to the spectrum's scale, that is taken
@@ -81,6 +85,8 @@ class EigenSolveConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_CONFIG = EigenSolveConfig()
@@ -125,11 +131,9 @@ def _real_ritz(vals, Av0):
     return vals.real
 
 
-def _dense_lowest(A, k: int | None, vectors: bool = True):
-    """Lowest k pairs of a dense Hermitian array (all of them for k=None)."""
-    subset = None if k is None or k >= A.shape[0] else [0, k - 1]
-    if not vectors:
-        return scipy.linalg.eigvalsh(A, subset_by_index=subset), None
+def _dense_lowest(A, k: int):
+    """Lowest k pairs of a dense Hermitian array (all of them for k >= dim)."""
+    subset = None if k >= A.shape[0] else [0, k - 1]
     return scipy.linalg.eigh(A, subset_by_index=subset)
 
 
@@ -171,39 +175,6 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     vals = _real_ritz(vals, A @ v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
-
-
-def _eigensolve(op, config: EigenSolveConfig, k: int | None = None, vectors: bool = True):
-    """Ascending eigenvalues of a Hermitian operator, with eigenvectors.
-
-    Returns (vals, vecs, method).  Dimensions up to config.dense_limit, and
-    every call with k=None (the whole spectrum), densify the CSR and run
-    dense eigh for the k lowest pairs (all of them when k=None);
-    DimensionLimitError past the limit.  Otherwise ARPACK returns the k
-    lowest.  vectors=False skips the eigenvectors on the dense path (vecs is
-    then None).
-    """
-    if k is None or op.dimension <= config.dense_limit:
-        vals, vecs = _dense_lowest(dense_matrix(op, limit=config.dense_limit), k, vectors)
-        return vals, vecs, "dense"
-    vals, vecs = _arpack_lowest(op.sparse(), config, k)
-    return vals, vecs, "iterative"
-
-
-def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
-    """The k smallest eigenvalues of a Hermitian operator, with residuals.
-
-    Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float.
-    Dense path below config.dense_limit; ARPACK otherwise.  An ARPACK run
-    that stops before all k pairs converge raises SolverConvergenceError:
-    the pairs it did converge are not known to be the lowest, so they are
-    never returned.
-    """
-    config = config or DEFAULT_CONFIG
-    k = min(config.k, op.dimension)
-    vals, vecs, _ = _eigensolve(op, config, k)
-    vals, vecs = vals[:k], vecs[:, :k]
-    return list(zip(vals.tolist(), _residuals(op, vals, vecs)))
 
 
 def _charge_blocks(op):
@@ -265,6 +236,52 @@ def _block_lowest(B, config: EigenSolveConfig, kernel_tol: float, iterative: boo
             )
 
 
+def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
+    """Lowest pairs of every charge block, as ([(vals, vecs, basis indices)], method).
+
+    The path is one for all blocks: "dense" when the operator's whole
+    dimension is at most config.dense_limit, else "iterative".
+    """
+    iterative = op.dimension > config.dense_limit
+    solved = [
+        (*_block_lowest(B, config, kernel_tol, iterative), idx)
+        for B, idx in _charge_blocks(op)
+    ]
+    return solved, "iterative" if iterative else "dense"
+
+
+def _merge_lowest(op, solved, count: int):
+    """The lowest `count` eigenvalues over all solved blocks, ascending, and
+    the residuals of their eigenvectors embedded back into the full space."""
+    merged = [(v, b, c) for b, (vals, _, _) in enumerate(solved) for c, v in enumerate(vals)]
+    merged.sort(key=lambda t: t[0])
+    merged = merged[:count]
+    dtype = np.result_type(*(vecs for _, vecs, _ in solved))
+    vecs = np.zeros((op.dimension, len(merged)), dtype=dtype)
+    for j, (_, b, c) in enumerate(merged):
+        _, block_vecs, idx = solved[b]
+        vecs[idx, j] = block_vecs[:, c]
+    vals = np.array([v for v, _, _ in merged])
+    return vals, _residuals(op, vals, vecs)
+
+
+def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
+    """The k smallest eigenvalues of a Hermitian operator, with residuals.
+
+    Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float,
+    min(config.k, dimension) of them.  Solved charge block by block like
+    `spectral_gap`, with no kernel to widen past: each block gives its
+    lowest min(config.k, block dimension) pairs.  An ARPACK run that stops
+    before all its pairs converge raises SolverConvergenceError: the pairs
+    it did converge are not known to be the lowest, so they are never
+    returned.
+    """
+    config = config or DEFAULT_CONFIG
+    solved, _ = _solve_blocks(op, config, -np.inf)
+    vals, residuals = _merge_lowest(op, solved, config.k)
+    return list(zip(vals.tolist(), residuals))
+
+
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
     """Smallest eigenvalue above kernel_tol, solved charge block by block.
 
@@ -277,33 +294,20 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
     embedded back into the full space.
     """
     config = config or DEFAULT_CONFIG
-    dim = op.dimension
-    iterative = dim > config.dense_limit
-    solved = [
-        (*_block_lowest(B, config, kernel_tol, iterative), idx)
-        for B, idx in _charge_blocks(op)
-    ]
+    solved, method = _solve_blocks(op, config, kernel_tol)
     kernel_dim = sum(int(np.sum(vals <= kernel_tol)) for vals, _, _ in solved)
     if all(vals[-1] <= kernel_tol for vals, _, _ in solved):
         raise GapUndefinedError(
-            f"all {dim} eigenvalues lie within kernel tolerance {kernel_tol}"
+            f"all {op.dimension} eigenvalues lie within kernel tolerance {kernel_tol}"
         )
-    merged = [(v, b, c) for b, (vals, _, _) in enumerate(solved) for c, v in enumerate(vals)]
-    merged.sort(key=lambda t: t[0])
-    merged = merged[: max(config.k, kernel_dim + 1)]
-    dtype = np.result_type(*(vecs for _, vecs, _ in solved))
-    vecs = np.zeros((dim, len(merged)), dtype=dtype)
-    for j, (_, b, c) in enumerate(merged):
-        _, block_vecs, idx = solved[b]
-        vecs[idx, j] = block_vecs[:, c]
-    vals = np.array([v for v, _, _ in merged])
+    vals, residuals = _merge_lowest(op, solved, max(config.k, kernel_dim + 1))
     return GapReport(
         eigenvalues=vals.tolist(),
-        residuals=_residuals(op, vals, vecs),
+        residuals=residuals,
         kernel_dim=kernel_dim,
         gap=float(vals[kernel_dim]),
         kernel_tol=kernel_tol,
-        method="iterative" if iterative else "dense",
+        method=method,
         k_used=len(vals),
     )
 

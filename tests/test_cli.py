@@ -133,6 +133,19 @@ class TestExitCodes:
             assert exc.value.code == 3
         capsys.readouterr()
 
+    def test_negative_seed(self, capsys):
+        for argv in (
+            ["gap", "--model", "heisenberg-ferro", "--n", "2", "--dense-limit", "1"],
+            ["gap", "--model", "heisenberg-ferro", "--n", "5", "--dense-limit", "1"],
+            ["verify", "prop-key", "--model", "heisenberg-ferro", "--n", "1", "--N", "1",
+             "--dense-limit", "1"],
+            ["verify", "counting", "--D", "1", "--n", "1", "--N", "2"],
+        ):
+            rc, out, err = run(capsys, *argv, "--seed", "-2")
+            assert rc == 3, argv
+            assert "--seed" in err
+            assert out == ""
+
     def test_malformed_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("d=2\n1.0 0,0 0,0 0,0\n")

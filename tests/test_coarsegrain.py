@@ -106,8 +106,9 @@ class TestBuildHCn:
         assert H.dimension == 256
 
     def test_matvec_limit(self):
-        with pytest.raises(DimensionLimitError):
-            build_HCn(heisenberg_ferro_fr(R=3), 1, matvec_limit=2**10)
+        # 2^216 states on the 8 cubes of C_1 at R=3: past the dimension cap
+        with pytest.raises(DimensionLimitError, match="feasible"):
+            build_HCn(heisenberg_ferro_fr(R=3), 1)
 
 
 class TestCoarseGrain:

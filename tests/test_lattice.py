@@ -83,7 +83,7 @@ class TestGeometry:
         assert ss == sorted(ss)
         assert len(ss) == geo.n_sites
         with pytest.raises(ValueError):
-            sites(LatticeGeometry(D=3, N=50), enumeration_limit=10**5)
+            sites(LatticeGeometry(D=3, N=51))  # 102^3 > 10^6
 
 
 class TestEdges:

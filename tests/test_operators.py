@@ -96,9 +96,9 @@ class TestManyBodyOperator:
         op = ManyBodyOperator([(0,), (1,)], 3, [(((1,),), n1)])
         assert_allclose(dense_matrix(op), np.kron(np.eye(3), n1), atol=1e-14)
 
-    def test_bit_path_matches_general_path(self):
-        # same physical term, once as a d=2 two-site term (bit arithmetic)
-        # and once as a three-site term with an identity leg (tensordot)
+    def test_widened_term_matches_narrow_term(self):
+        # same physical term, once as a two-site term and once as a
+        # three-site term with an identity leg
         chain = [(0,), (1,), (2,)]
         rng = np.random.default_rng(5)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -292,8 +292,9 @@ class TestBuildHamiltonian:
             build_hamiltonian(bad, grid_edges(1, 3), grid_sites(1, 3))
 
     def test_matvec_limit(self):
-        with pytest.raises(DimensionLimitError):
-            build_hamiltonian(FERRO, grid_edges(1, 8), grid_sites(1, 8), matvec_limit=100)
+        # 2^29 states exceed the 2^28 dimension cap; refused before any allocation
+        with pytest.raises(DimensionLimitError, match="at most 28 sites"):
+            build_hamiltonian(FERRO, grid_edges(1, 29), grid_sites(1, 29))
 
 
 QR_CASES = [

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from gapcert.lattice import grid_edges, grid_sites
-from gapcert.models import heisenberg_ferro
+from gapcert.models import aklt, heisenberg_ferro
 from gapcert.operators import CompositeOperator, ManyBodyOperator, build_hamiltonian, dense_matrix
 from gapcert.spectral import (
     EigenSolveConfig,
@@ -59,9 +59,28 @@ class TestLowestEigenvalues:
         p2 = lowest_eigenvalues(H, cfg)
         assert [v for v, _ in p1] == [v for v, _ in p2]
 
-    def test_iterative_needs_k_below_dim(self):
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(diag_op([0.0, 1.0]), EigenSolveConfig(k=2, dense_limit=1))
+    def test_iterative_k_past_arpack_solves_dense(self):
+        # ARPACK needs k <= dim - 2; past that the block goes to dense eigh
+        pairs = lowest_eigenvalues(diag_op([0.0, 1.0]), EigenSolveConfig(k=2, dense_limit=1))
+        assert [v for v, _ in pairs] == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "model, D, side",
+        [(FERRO, 2, 3), (aklt(), 1, 6)],
+        ids=["ferro_torus3x3", "aklt_ring6"],
+    )
+    def test_charge_blocks_match_uncharged(self, model, D, side):
+        # the same terms without charges are one block; its dense solve is
+        # the reference for the charged solve on both paths
+        H = build_hamiltonian(model, grid_edges(D, side, periodic=True), grid_sites(D, side))
+        plain = ManyBodyOperator(H.site_list, H.d, H.terms)
+        assert H.charges is not None and plain.charges is None
+        want = [v for v, _ in lowest_eigenvalues(plain, EigenSolveConfig(k=12))]
+        assert len(want) == 12
+        for dense_limit, atol in ((4096, 1e-12), (1, 1e-10)):
+            pairs = lowest_eigenvalues(H, EigenSolveConfig(k=12, dense_limit=dense_limit))
+            assert_allclose([v for v, _ in pairs], want, rtol=0, atol=atol)
+            assert all(r <= 1e-10 for _, r in pairs)
 
     def test_no_convergence_raises(self):
         H = ferro_chain(8)
@@ -196,3 +215,9 @@ class TestConfig:
             EigenSolveConfig(k=0)
         with pytest.raises(ValueError):
             EigenSolveConfig(tol=-1e-3)
+
+    def test_negative_seed_refused(self):
+        # numpy refuses a negative seed only where a start vector is drawn,
+        # so the dense path alone would accept it
+        with pytest.raises(ValueError, match="seed"):
+            EigenSolveConfig(seed=-1)
