@@ -3,7 +3,8 @@
 Exit codes are exhaustive and mutually exclusive: 0 success (or all checks
 passed), 1 verification failure, 2 numerical failure (solver did not
 converge or no gap is defined), 3 configuration error (bad flags, unknown
-model, precondition violations, infeasible dimensions).
+model, precondition violations, infeasible dimensions, file-system errors
+such as an unwritable --out or a --model that names a directory).
 
 Size conventions: `gap` and `certify --theorem main` take the box
 parameter n of {0..n}^D, so the solved grid has side n+1 per axis;
@@ -32,15 +33,13 @@ from gapcert.coarsegrain import (
     verify_ground_space_preservation,
 )
 from gapcert.criteria import (
+    THEOREM_TABLE,
     THEOREMS,
     aligned_pair_witness,
     certify,
     fit_power_law,
     per_box_bound_witness,
     subsystem_gap,
-    threshold_gm,
-    threshold_lm,
-    threshold_main,
     verify_proposition_key,
 )
 from gapcert.lattice import (
@@ -72,6 +71,7 @@ CSV_HEADER = (
     "model,D,n,boundary,gap,kernel_dim,threshold_main,threshold_gm,"
     "threshold_lm,margin_selected,runtime_ms"
 )
+_THRESHOLD_COLUMNS = ("main", "gm", "lm")  # order of the threshold_* columns
 
 
 def _fmt(x) -> str:
@@ -299,6 +299,8 @@ def cs_witnesses(d: int, samples: int, seed: int, dense_limit: int = DEFAULT_DEN
 
 
 def _verify_cauchy_schwarz(cfg: RunConfig) -> int:
+    if cfg.d < 2:
+        raise ValueError(f"--d must be >= 2, got {cfg.d}")
     if cfg.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
     witnesses = cs_witnesses(cfg.d, cfg.samples, cfg.seed, cfg.resolved_dense_limit)
@@ -465,16 +467,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
             failures += 1
             continue
         ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.timings else 0
-        thr_main = threshold_main(n) if n >= 3 else None
-        thr_gm = threshold_gm(n) if n > 2 else None
-        thr_lm = threshold_lm(n) if n > 3 else None
-        margin = None
-        if cfg.theorem == "main":
-            margin = None if thr_main is None else rep.gap - thr_main
-        elif cfg.theorem == "gm":
-            margin = None if thr_gm is None else rep.gap - thr_gm
-        elif cfg.theorem == "lm":
-            margin = None if thr_lm is None else rep.gap - thr_lm
+        thr = {
+            name: t.threshold(n) if t.covers(n) else None
+            for name, t in THEOREM_TABLE.items()
+        }
+        selected = thr.get(cfg.theorem)
+        margin = None if selected is None else rep.gap - selected
         lines.append(
             ",".join(
                 [
@@ -484,9 +482,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     cfg.boundary,
                     _fmt(rep.gap),
                     str(rep.kernel_dim),
-                    _csv_field(thr_main),
-                    _csv_field(thr_gm),
-                    _csv_field(thr_lm),
+                    *(_csv_field(thr[name]) for name in _THRESHOLD_COLUMNS),
                     _csv_field(margin),
                     str(ms),
                 ]
@@ -653,7 +649,7 @@ def main(argv=None) -> int:
         if cfg.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
         return _COMMANDS[cfg.command](cfg)
-    except (ValueError, ModelFormatError, DimensionLimitError) as exc:
+    except (ValueError, ModelFormatError, DimensionLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SolverConvergenceError, GapUndefinedError) as exc:

@@ -12,7 +12,9 @@ subsystem is the n-site open chain with gap gamma_n; on boxes (theorem
 
 Certification means the local gap strictly exceeds the threshold term, so
 the implied bulk bound is positive.  Subsystems are always open boxes; the
-bulk operator is always periodic.
+bulk operator is always periodic.  Each criterion is one row of
+`THEOREM_TABLE` (its domain of n, closed forms and subsystem sizes), which
+`certify` and the CLI sweep both read.
 
 The "main" bound rests on one operator proposition: with A the sum of
 squared box Hamiltonians (H_{B_l})^2 over all translates l, both
@@ -30,7 +32,9 @@ aligned-pair Cauchy-Schwarz) have their own entry points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -62,58 +66,97 @@ from gapcert.spectral import (
     spectral_gap,
 )
 
-THEOREMS = ("gm", "lm", "main")
+
+# -- the criteria table ---------------------------------------------------
+
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
-# -- thresholds and bounds ------------------------------------------------
+@dataclass(frozen=True)
+class Theorem:
+    """One criterion: its domain, closed forms and subsystems.
+
+    The domain of n is `n <op> <bound>` for (op, bound) = `domain`.
+    `sizes(n)` maps each subsystem's key in `CriterionResult.gaps` to the
+    side of the open grid solved for it; the local gap is the least of
+    their gaps.  Chain-only theorems refuse D != 1; below `rigorous_D` a
+    run is allowed only on request and is flagged non-rigorous.  `note`
+    is formatted with n, D, side, kernel (of the last subsystem), lo
+    (least key) and argmin.
+    """
+
+    name: str
+    domain: tuple
+    chains_only: bool
+    threshold_form: Callable[[int], float]
+    prefactor_form: Callable[[int], float]
+    sizes: Callable[[int], dict]
+    note: str
+    rigorous_D: int = 1
+
+    def covers(self, n: int) -> bool:
+        op, bound = self.domain
+        return _COMPARE[op](n, bound)
+
+    def require(self, n: int):
+        if not self.covers(n):
+            op, bound = self.domain
+            raise ValueError(f"{self.name} criterion needs n {op} {bound}, got {n}")
+
+    def threshold(self, n: int) -> float:
+        """Local-gap threshold; certification needs the local gap above it."""
+        self.require(n)
+        return self.threshold_form(n)
+
+    def prefactor(self, n: int) -> float:
+        """Factor turning the margin into the bulk gap bound."""
+        self.require(n)
+        return self.prefactor_form(n)
+
+    def bound(self, local_gap: float, n: int) -> float:
+        """Bulk gap bound prefactor * (local gap - threshold)."""
+        return self.prefactor(n) * (local_gap - self.threshold(n))
 
 
-def threshold_gm(n: int) -> float:
-    """Local-gap threshold 6/(n(n+1)) of the periodic-chain criterion."""
-    if n <= 2:
-        raise ValueError(f"gm criterion needs n > 2, got {n}")
-    return 6.0 / (n * (n + 1))
+THEOREM_TABLE = {
+    t.name: t
+    for t in (
+        Theorem(
+            name="gm",
+            domain=(">", 2),
+            chains_only=True,
+            threshold_form=lambda n: 6.0 / (n * (n + 1)),
+            prefactor_form=lambda n: (5.0 / 6.0) * (n**2 + n) / (n**2 - 4),
+            sizes=lambda n: {n: n},
+            note="open {n}-site chain, kernel dim {kernel}",
+        ),
+        Theorem(
+            name="lm",
+            domain=(">", 3),
+            chains_only=True,
+            threshold_form=lambda n: 4.0 * math.sqrt(6.0) / n**1.5,
+            prefactor_form=lambda n: 1.0 / (2**9 * math.sqrt(6.0) * n),
+            sizes=lambda n: {ell: ell for ell in range(math.ceil(n / 2), n + 1)},
+            note="open chains l = {lo}..{n}, min gap at l = {argmin}",
+        ),
+        Theorem(
+            name="main",
+            domain=(">=", 3),
+            chains_only=False,
+            threshold_form=lambda n: 1.0 / n + 2.0 / n**2,  # <= 3/n
+            prefactor_form=lambda n: 1.0,
+            sizes=lambda n: {n: n + 1},  # the open box {0..n}^D
+            note="open box {{0..{n}}}^{D} = side {side}, kernel dim {kernel}",
+            rigorous_D=3,
+        ),
+    )
+}
+THEOREMS = tuple(THEOREM_TABLE)
 
-
-def threshold_lm(n: int) -> float:
-    """Local-gap threshold 4*sqrt(6)/n^(3/2) of the open-chain criterion."""
-    if n <= 3:
-        raise ValueError(f"lm criterion needs n > 3, got {n}")
-    return 4.0 * math.sqrt(6.0) / n**1.5
-
-
-def threshold_main(n: int) -> float:
-    """Local-gap threshold 1/n + 2/n^2 of the box criterion (<= 3/n)."""
-    if n < 3:
-        raise ValueError(f"main criterion needs n >= 3, got {n}")
-    return 1.0 / n + 2.0 / n**2
-
-
-def prefactor_gm(n: int) -> float:
-    if n <= 2:
-        raise ValueError(f"gm criterion needs n > 2, got {n}")
-    return (5.0 / 6.0) * (n**2 + n) / (n**2 - 4)
-
-
-def prefactor_lm(n: int) -> float:
-    if n <= 3:
-        raise ValueError(f"lm criterion needs n > 3, got {n}")
-    return 1.0 / (2**9 * math.sqrt(6.0) * n)
-
-
-def bound_gm(gamma_n: float, n: int) -> float:
-    """Bulk periodic-chain gap bound implied by the n-site open-chain gap."""
-    return prefactor_gm(n) * (gamma_n - threshold_gm(n))
-
-
-def bound_lm(min_gamma: float, n: int) -> float:
-    """Bulk open-chain gap bound implied by min gamma_l, ceil(n/2) <= l <= n."""
-    return prefactor_lm(n) * (min_gamma - threshold_lm(n))
-
-
-def implied_bound_main(local_gap: float, n: int) -> float:
-    """Bulk torus gap bound gamma_B - 1/n - 2/n^2."""
-    return local_gap - threshold_main(n)
+_GM, _LM, _MAIN = THEOREM_TABLE.values()
+threshold_gm, prefactor_gm, bound_gm = _GM.threshold, _GM.prefactor, _GM.bound
+threshold_lm, prefactor_lm, bound_lm = _LM.threshold, _LM.prefactor, _LM.bound
+threshold_main, implied_bound_main = _MAIN.threshold, _MAIN.bound
 
 
 # -- subsystem solves -----------------------------------------------------
@@ -160,15 +203,6 @@ class CriterionResult:
         return self.local_gap - self.threshold
 
 
-def _require_frustration_free(report: GapReport, what: str, tol: float):
-    if report.kernel_dim == 0:
-        raise ValueError(
-            f"{what} is frustrated (lowest eigenvalue "
-            f"{report.eigenvalues[0]:.3e} > {tol:.1e}); "
-            f"the criteria assume frustration-freeness"
-        )
-
-
 def certify(
     model: NNInteraction,
     D: int,
@@ -180,103 +214,64 @@ def certify(
 ) -> CriterionResult:
     """Evaluate one finite-size criterion for a nearest-neighbor model.
 
+    Every theorem takes one path through its `THEOREM_TABLE` row.
     gm and lm run on chains (D must be 1) with open n-site (resp. l-site)
     subsystems; main diagonalizes the open box {0..n}^D, i.e. side n+1.
     Frustrated models are refused.  main at D < 3 runs only with
     allow_nonrigorous_main and is flagged non-rigorous in the result.
     """
     theorem = theorem.lower()
-    if theorem not in THEOREMS:
+    spec = THEOREM_TABLE.get(theorem)
+    if spec is None:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    notes = []
-
-    if theorem == "gm":
-        if D != 1:
-            raise ValueError(f"gm criterion is stated for chains (D=1), got D={D}")
-        if n <= 2:
-            raise ValueError(f"gm criterion needs n > 2, got {n}")
-        report = subsystem_gap(model, 1, n, config=config, kernel_tol=kernel_tol)
-        _require_frustration_free(report, f"{n}-site open chain", kernel_tol)
-        gamma = report.gap
-        thr, pref = threshold_gm(n), prefactor_gm(n)
-        implied = bound_gm(gamma, n)
-        notes.append(f"open {n}-site chain, kernel dim {report.kernel_dim}")
-        return CriterionResult(
-            theorem_id="gm",
-            D=1,
-            n=n,
-            local_gap=gamma,
-            gaps={n: gamma},
-            threshold=thr,
-            prefactor=pref,
-            implied_lower_bound=implied,
-            certified=gamma > thr,
-            notes=notes,
-        )
-
-    if theorem == "lm":
-        if D != 1:
-            raise ValueError(f"lm criterion is stated for chains (D=1), got D={D}")
-        if n <= 3:
-            raise ValueError(f"lm criterion needs n > 3, got {n}")
-        gaps = {}
-        for ell in range(math.ceil(n / 2), n + 1):
-            report = subsystem_gap(model, 1, ell, config=config, kernel_tol=kernel_tol)
-            _require_frustration_free(report, f"{ell}-site open chain", kernel_tol)
-            gaps[ell] = report.gap
-        min_gamma = min(gaps.values())
-        thr, pref = threshold_lm(n), prefactor_lm(n)
-        implied = bound_lm(min_gamma, n)
-        notes.append(
-            f"open chains l = {math.ceil(n / 2)}..{n}, "
-            f"min gap at l = {min(gaps, key=gaps.get)}"
-        )
-        return CriterionResult(
-            theorem_id="lm",
-            D=1,
-            n=n,
-            local_gap=min_gamma,
-            gaps=gaps,
-            threshold=thr,
-            prefactor=pref,
-            implied_lower_bound=implied,
-            certified=min_gamma > thr,
-            notes=notes,
-        )
-
-    # main
-    if n < 3:
-        raise ValueError(f"main criterion needs n >= 3, got {n}")
+    if spec.chains_only and D != 1:
+        raise ValueError(f"{spec.name} criterion is stated for chains (D=1), got D={D}")
+    spec.require(n)
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    rigorous = D >= 3
+    notes = []
+    rigorous = D >= spec.rigorous_D
     if not rigorous:
+        stated = f"{spec.name} criterion is stated for D >= {spec.rigorous_D}"
         if not allow_nonrigorous_main:
             raise ValueError(
-                f"main criterion is stated for D >= 3; pass "
-                f"allow_nonrigorous_main=True to explore D={D}"
+                f"{stated}; pass allow_nonrigorous_main=True to explore D={D}"
             )
-        notes.append(
-            f"non-rigorous: main criterion is stated for D >= 3, ran at D={D}"
-        )
-    report = subsystem_gap(model, D, n + 1, config=config, kernel_tol=kernel_tol)
-    _require_frustration_free(report, f"open box of side {n + 1} in D={D}", kernel_tol)
-    gamma = report.gap
-    thr = threshold_main(n)
-    implied = implied_bound_main(gamma, n)
+        notes.append(f"non-rigorous: {stated}, ran at D={D}")
+
+    gaps = {}
+    for key, side in spec.sizes(n).items():
+        report = subsystem_gap(model, D, side, config=config, kernel_tol=kernel_tol)
+        if report.kernel_dim == 0:
+            what = (
+                f"{side}-site open chain"
+                if spec.chains_only
+                else f"open box of side {side} in D={D}"
+            )
+            raise ValueError(
+                f"{what} is frustrated (lowest eigenvalue "
+                f"{report.eigenvalues[0]:.3e} > {kernel_tol:.1e}); "
+                f"the criteria assume frustration-freeness"
+            )
+        gaps[key] = report.gap
+    local_gap = min(gaps.values())
+    threshold = spec.threshold(n)
     notes.append(
-        f"open box {{0..{n}}}^{D} = side {n + 1}, kernel dim {report.kernel_dim}"
+        spec.note.format(
+            n=n, D=D, side=side, kernel=report.kernel_dim,
+            lo=min(gaps), argmin=min(gaps, key=gaps.get),
+        )
     )
     return CriterionResult(
-        theorem_id="main",
+        theorem_id=spec.name,
         D=D,
         n=n,
-        local_gap=gamma,
-        gaps={n: gamma},
-        threshold=thr,
-        prefactor=1.0,
-        implied_lower_bound=implied,
-        certified=gamma > thr,
+        local_gap=local_gap,
+        gaps=gaps,
+        threshold=threshold,
+        prefactor=spec.prefactor(n),
+        implied_lower_bound=spec.bound(local_gap, n),
+        certified=local_gap > threshold,
         rigorous=rigorous,
         notes=notes,
     )

@@ -7,7 +7,8 @@ unordered nearest-neighbor pair, while on the degenerate side-2 torus each
 unordered pair carries two distinct slots (the usual doubling of the
 periodic two-site Hamiltonian, h_{1,2} + h_{2,1}).  Subsystem boxes are
 translates of {0..n}^D together with their open-boundary edges, lifted to
-the torus by coordinate wrap.
+the torus by coordinate wrap.  Both the torus and the boxes are built from
+`grid_sites` / `grid_edges`, relabelled into the window.
 
 The counting facts verified here are the ones the box decomposition rests
 on: with boxes over all (2N)^D translates, every edge lies in exactly
@@ -94,48 +95,6 @@ def canonical_site(coords, geometry: LatticeGeometry) -> Site:
     return tuple(((int(c) + N - 1) % side) - N + 1 for c in coords)
 
 
-def sites(geometry: LatticeGeometry):
-    """All canonical sites in lexicographic order; (2N)^D of them."""
-    if geometry.n_sites > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"site enumeration of size {geometry.n_sites} exceeds limit "
-            f"{DEFAULT_ENUMERATION_LIMIT}"
-        )
-    rng = range(-geometry.N + 1, geometry.N + 1)
-    return [tuple(c) for c in itertools.product(rng, repeat=geometry.D)]
-
-
-def _shift(site, axis, delta, geometry):
-    moved = list(site)
-    moved[axis] += delta
-    return canonical_site(moved, geometry)
-
-
-def periodic_edges(geometry: LatticeGeometry):
-    """All D*(2N)^D edge slots of the torus, ordered by (tail, axis)."""
-    out = []
-    for s in sites(geometry):
-        for a in range(geometry.D):
-            out.append(Edge(s, _shift(s, a, +1, geometry), a))
-    return out
-
-
-def _box_axis_offsets(D, n, axis):
-    """Tail offsets of the box's internal edges along `axis`."""
-    rngs = [range(n) if ax == axis else range(n + 1) for ax in range(D)]
-    return list(itertools.product(*rngs))
-
-
-def box_edges(box: BoxRegion, geometry: LatticeGeometry):
-    """Internal (open-boundary) edges of the lifted box; D*n*(n+1)^(D-1) slots."""
-    out = []
-    for a in range(geometry.D):
-        for p in _box_axis_offsets(geometry.D, box.n, a):
-            tail = canonical_site([b + q for b, q in zip(box.base, p)], geometry)
-            out.append(Edge(tail, _shift(tail, a, +1, geometry), a))
-    return out
-
-
 def grid_sites(D: int, side: int):
     """Sites {0..side-1}^D in lexicographic order (plain box, no canonical window)."""
     if D < 1 or side < 1:
@@ -163,6 +122,45 @@ def grid_edges(D: int, side: int, periodic: bool = False):
                 continue
             edges.append(Edge(s, head, a))
     return edges
+
+
+def _window(geometry: LatticeGeometry):
+    """Relabel grid coordinates [0, 2N) to the window (-N, N], order kept."""
+    if geometry.n_sites > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"site enumeration of size {geometry.n_sites} exceeds limit "
+            f"{DEFAULT_ENUMERATION_LIMIT}"
+        )
+    return lambda s: tuple(c - geometry.N + 1 for c in s)
+
+
+def sites(geometry: LatticeGeometry):
+    """All canonical sites in lexicographic order; (2N)^D of them."""
+    relabel = _window(geometry)
+    return [relabel(s) for s in grid_sites(geometry.D, geometry.side)]
+
+
+def periodic_edges(geometry: LatticeGeometry):
+    """All D*(2N)^D edge slots of the torus, ordered by (tail, axis)."""
+    relabel = _window(geometry)
+    grid = grid_edges(geometry.D, geometry.side, periodic=True)
+    return [Edge(relabel(e.tail), relabel(e.head), e.axis) for e in grid]
+
+
+def _box_axis_offsets(D, n, axis):
+    """Tail offsets of the box's internal edges along `axis`."""
+    rngs = [range(n) if ax == axis else range(n + 1) for ax in range(D)]
+    return list(itertools.product(*rngs))
+
+
+def box_edges(box: BoxRegion, geometry: LatticeGeometry):
+    """Internal (open-boundary) edges of the lifted box; D*n*(n+1)^(D-1) slots."""
+    D, side = geometry.D, box.n + 1
+    lift = {
+        p: canonical_site([b + q for b, q in zip(box.base, p)], geometry)
+        for p in grid_sites(D, side)
+    }
+    return [Edge(lift[e.tail], lift[e.head], e.axis) for e in grid_edges(D, side)]
 
 
 def edge_arrays(edges):

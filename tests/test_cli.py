@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapcert.cli import CSV_HEADER, RunConfig, cs_witnesses, main
+from gapcert.criteria import threshold_main
 from gapcert.models import save_model
 from gapcert.operators import NNInteraction
 from gapcert.spectral import EigenSolveConfig
@@ -146,6 +147,23 @@ class TestExitCodes:
             assert "--seed" in err
             assert out == ""
 
+    def test_model_naming_a_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "gap", "--model", str(tmp_path), "--n", "3")
+        assert rc == 3
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_unwritable_sweep_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(
+            capsys, "sweep", "--model", "heisenberg-ferro", "--n-from", "2", "--n-to", "3",
+            "--out", str(path),
+        )
+        assert rc == 3
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert not path.exists()
+
     def test_malformed_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("d=2\n1.0 0,0 0,0 0,0\n")
@@ -213,6 +231,13 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "cauchy-schwarz", "--d", "2", "--samples", "10")
         assert rc == 0
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_cauchy_schwarz_needs_d_two(self, capsys, d):
+        rc, out, err = run(capsys, "verify", "cauchy-schwarz", "--d", d, "--samples", "3")
+        assert rc == 3
+        assert "--d" in err
+        assert out == ""
 
     def test_per_box(self, capsys):
         rc, out, _ = run(
@@ -284,6 +309,24 @@ class TestSweep:
         assert margins[3] < 0 and abs(margins[3]) < 1e-12
         assert margins[4] > 0.14
 
+    def test_main_margin_selected(self, capsys):
+        rc, out, _ = run(
+            capsys, "sweep", "--model", "heisenberg-ferro", "--theorem", "main",
+            "--n-from", "2", "--n-to", "5",
+        )
+        assert rc == 0
+        rows = {
+            int(r[2]): r
+            for r in (line.split(",") for line in out.splitlines())
+            if r[0] == "heisenberg-ferro"
+        }
+        assert rows[2][6] == rows[2][9] == ""
+        for n in (3, 4, 5):
+            gap, margin = float(rows[n][4]), float(rows[n][9])
+            assert margin == pytest.approx(gap - threshold_main(n), abs=1e-11)
+        assert rows[3][9] == "-0.0555555555556"
+        assert rows[4][9] == "-0.0821067811865"
+
     def test_empty_range(self, capsys):
         rc, _, err = run(
             capsys, "sweep", "--model", "aklt", "--n-from", "5", "--n-to", "3"
@@ -301,6 +344,95 @@ class TestSweep:
         assert f"{path},1,4,open,error,,,,,,0" in out
         assert "# error at n=4:" in out
         assert "# fit: skipped" in out
+
+
+# Exit code, stderr and stdout of `certify`, byte for byte, covering each
+# theorem's note lines and the main criterion below D=3 with and without
+# --override-low-d.
+CERTIFY_GOLDEN = {
+    ("gm", "heisenberg-ferro", "1", "5", False): (
+        0,
+        "",
+        "theorem: gm\n"
+        "model: heisenberg-ferro (d=2)\n"
+        "D: 1\n"
+        "n: 5\n"
+        "local_gap: 0.190983005625\n"
+        "threshold: 0.2\n"
+        "margin: -0.00901699437495\n"
+        "prefactor: 1.19047619048\n"
+        "implied_bound: -0.010734517113\n"
+        "certified: false\n"
+        "rigorous: true\n"
+        "note: open 5-site chain, kernel dim 6\n"
+    ),
+    ("gm", "aklt", "1", "4", False): (
+        0,
+        "",
+        "theorem: gm\n"
+        "model: aklt (d=3)\n"
+        "D: 1\n"
+        "n: 4\n"
+        "local_gap: 0.448955865859\n"
+        "threshold: 0.3\n"
+        "margin: 0.148955865859\n"
+        "prefactor: 1.38888888889\n"
+        "implied_bound: 0.206883147027\n"
+        "certified: true\n"
+        "rigorous: true\n"
+        "note: open 4-site chain, kernel dim 4\n"
+    ),
+    ("lm", "heisenberg-ferro", "1", "4", False): (
+        0,
+        "",
+        "theorem: lm\n"
+        "model: heisenberg-ferro (d=2)\n"
+        "D: 1\n"
+        "n: 4\n"
+        "gaps: l=2:1 l=3:0.5 l=4:0.292893218813\n"
+        "local_gap: 0.292893218813\n"
+        "threshold: 1.22474487139\n"
+        "margin: -0.931851652578\n"
+        "prefactor: 0.000199339985578\n"
+        "implied_bound: -0.000185755294986\n"
+        "certified: false\n"
+        "rigorous: true\n"
+        "note: open chains l = 2..4, min gap at l = 4\n"
+    ),
+    ("main", "heisenberg-ferro", "1", "3", True): (
+        0,
+        "",
+        "theorem: main\n"
+        "model: heisenberg-ferro (d=2)\n"
+        "D: 1\n"
+        "n: 3\n"
+        "local_gap: 0.292893218813\n"
+        "threshold: 0.555555555556\n"
+        "margin: -0.262662336742\n"
+        "prefactor: 1\n"
+        "implied_bound: -0.262662336742\n"
+        "certified: false\n"
+        "rigorous: false\n"
+        "note: non-rigorous: main criterion is stated for D >= 3, ran at D=1\n"
+        "note: open box {0..3}^1 = side 4, kernel dim 5\n"
+    ),
+    ("main", "heisenberg-ferro", "2", "3", False): (
+        3,
+        "error: main criterion is stated for D >= 3; pass allow_nonrigorous_main=True "
+        "to explore D=2\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem,model,D,n,override", sorted(CERTIFY_GOLDEN))
+def test_certify_output_golden(capsys, theorem, model, D, n, override):
+    argv = ["certify", "--theorem", theorem, "--model", model, "--D", D, "--n", n]
+    rc, out, err = run(capsys, *argv, *(["--override-low-d"] if override else []))
+    want_rc, want_err, want_out = CERTIFY_GOLDEN[(theorem, model, D, n, override)]
+    assert rc == want_rc
+    assert err == want_err
+    assert out == want_out
 
 
 # Full stdout of `verify counting`, byte for byte, on cases that fail: a

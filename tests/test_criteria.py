@@ -127,7 +127,8 @@ class TestCertify:
         res = certify(FERRO, 1, 3, theorem="main", allow_nonrigorous_main=True)
         assert not res.rigorous
         assert any("non-rigorous" in note for note in res.notes)
-        # open box of side n+1 = 4
+        # open box of side n+1 = 4, keyed by the box parameter n
+        assert set(res.gaps) == {3}
         assert_allclose(res.local_gap, 0.2928932188134525, atol=1e-10)
         assert_allclose(res.threshold, 5.0 / 9.0, rtol=1e-12)
         assert not res.certified
