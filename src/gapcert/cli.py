@@ -15,15 +15,18 @@ the chain-length scaling fits and the chain criteria.
 All floating-point output uses 12 significant digits; sweep CSVs are
 byte-identical across runs for identical configuration (runtime_ms is 0
 unless --timings is given).
+
+Dispatch: each leaf subparser names its handler (`set_defaults(run=...)`),
+and the handler reads the parsed namespace itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,57 +93,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs of one CLI invocation."""
-
-    command: str
-    check: str | None = None
-    model: str | None = None
-    D: int = 1
-    n: int | None = None
-    n_from: int | None = None
-    n_to: int | None = None
-    N: int | None = None
-    side: int | None = None
-    theorem: str | None = None
-    boundary: str = "open"
-    R: int = 1
-    d: int = 2
-    rank: int | None = None
-    trials: int = 20
-    samples: int = 100
-    seed: int = 7
-    dense_limit: int | None = None
-    out: str | None = None
-    timings: bool = False
-    override_low_d: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
-
-    @property
-    def resolved_dense_limit(self) -> int:
-        if self.dense_limit is not None:
-            return self.dense_limit
-        env = os.environ.get("GAPCERT_DENSE_LIMIT")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ValueError(
-                    f"GAPCERT_DENSE_LIMIT must be an integer, got {env!r}"
-                ) from None
+def _dense_limit(cfg: argparse.Namespace) -> int:
+    """--dense-limit, else GAPCERT_DENSE_LIMIT, else DEFAULT_DENSE_LIMIT."""
+    if cfg.dense_limit is not None:
+        return cfg.dense_limit
+    env = os.environ.get("GAPCERT_DENSE_LIMIT")
+    if env is None:
         return DEFAULT_DENSE_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"GAPCERT_DENSE_LIMIT must be an integer, got {env!r}") from None
 
-    @property
-    def solver_config(self) -> EigenSolveConfig:
-        return EigenSolveConfig(seed=self.seed, dense_limit=self.resolved_dense_limit)
+
+def _solver_config(cfg: argparse.Namespace) -> EigenSolveConfig:
+    return EigenSolveConfig(seed=cfg.seed, dense_limit=_dense_limit(cfg))
 
 
-def _nn_model(cfg: RunConfig) -> NNInteraction:
+def _verdict(ok: bool, tolerance: str | None = None) -> int:
+    """The closing lines of a verifier: its tolerance, then PASS or FAIL."""
+    if tolerance is not None:
+        print(f"tolerance: {tolerance}")
+    print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _nn_model(cfg: argparse.Namespace) -> NNInteraction:
     model = resolve_model(cfg.model)
     if not isinstance(model, NNInteraction):
         raise ValueError(
@@ -153,14 +131,14 @@ def _nn_model(cfg: RunConfig) -> NNInteraction:
 # -- gap --------------------------------------------------------------------
 
 
-def cmd_gap(cfg: RunConfig) -> int:
+def cmd_gap(cfg: argparse.Namespace) -> int:
     if cfg.n is None or cfg.n < 1:
         raise ValueError(f"--n must be >= 1, got {cfg.n}")
     model = _nn_model(cfg)
     periodic = cfg.boundary == "periodic"
     side = cfg.n + 1
     report = subsystem_gap(
-        model, cfg.D, side, periodic=periodic, config=cfg.solver_config
+        model, cfg.D, side, periodic=periodic, config=_solver_config(cfg)
     )
     dim = model.d ** (side**cfg.D)
     print(f"model: {model.name} (d={model.d})")
@@ -180,7 +158,7 @@ def cmd_gap(cfg: RunConfig) -> int:
 # -- certify ----------------------------------------------------------------
 
 
-def cmd_certify(cfg: RunConfig) -> int:
+def cmd_certify(cfg: argparse.Namespace) -> int:
     if cfg.n is None:
         raise ValueError("--n is required")
     model = _nn_model(cfg)
@@ -189,7 +167,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         D=cfg.D,
         n=cfg.n,
         theorem=cfg.theorem,
-        config=cfg.solver_config,
+        config=_solver_config(cfg),
         allow_nonrigorous_main=cfg.override_low_d,
     )
     print(f"theorem: {result.theorem_id}")
@@ -224,7 +202,7 @@ def _counts_str(counter) -> str:
     )
 
 
-def _verify_counting(cfg: RunConfig) -> int:
+def _verify_counting(cfg: argparse.Namespace) -> int:
     if cfg.n is None or cfg.N is None:
         raise ValueError("counting needs --n and --N")
     rep = verify_counting_lemma(cfg.n, LatticeGeometry(D=cfg.D, N=cfg.N))
@@ -259,7 +237,7 @@ def _verify_counting(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_square_identity(cfg: RunConfig) -> int:
+def _verify_square_identity(cfg: argparse.Namespace) -> int:
     if cfg.side is None or cfg.side < 2:
         raise ValueError(f"--side must be >= 2, got {cfg.side}")
     if cfg.trials < 1:
@@ -282,9 +260,7 @@ def _verify_square_identity(cfg: RunConfig) -> int:
         f"pairs: {rep.n_touching_pairs} touching, {rep.n_disjoint_pairs} disjoint"
     )
     print(f"max residual over {cfg.trials} random vectors: {_fmt(rep.max_residual)}")
-    print(f"tolerance: {_fmt(rep.tol)}")
-    print("PASS" if rep.passed else "FAIL")
-    return 0 if rep.passed else 1
+    return _verdict(rep.passed, _fmt(rep.tol))
 
 
 def cs_witnesses(d: int, samples: int, seed: int, dense_limit: int = DEFAULT_DENSE_LIMIT):
@@ -298,39 +274,33 @@ def cs_witnesses(d: int, samples: int, seed: int, dense_limit: int = DEFAULT_DEN
     return out
 
 
-def _verify_cauchy_schwarz(cfg: RunConfig) -> int:
+def _verify_cauchy_schwarz(cfg: argparse.Namespace) -> int:
     if cfg.d < 2:
         raise ValueError(f"--d must be >= 2, got {cfg.d}")
     if cfg.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {cfg.samples}")
-    witnesses = cs_witnesses(cfg.d, cfg.samples, cfg.seed, cfg.resolved_dense_limit)
+    witnesses = cs_witnesses(cfg.d, cfg.samples, cfg.seed, _dense_limit(cfg))
     wmin = min(witnesses)
     print(
         f"cauchy-schwarz: d={cfg.d}, {cfg.samples} random projection pairs, "
         f"seed {cfg.seed}"
     )
     print(f"min witness: {_fmt(wmin)}")
-    print("tolerance: -1e-10")
-    ok = wmin >= -1e-10
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _verdict(wmin >= -1e-10, "-1e-10")
 
 
-def _verify_per_box(cfg: RunConfig) -> int:
+def _verify_per_box(cfg: argparse.Namespace) -> int:
     if cfg.n is None or cfg.n < 1:
         raise ValueError(f"--n must be >= 1, got {cfg.n}")
     model = _nn_model(cfg)
-    witness, gamma = per_box_bound_witness(model, cfg.D, cfg.n, config=cfg.solver_config)
+    witness, gamma = per_box_bound_witness(model, cfg.D, cfg.n, config=_solver_config(cfg))
     print(f"per-box bound: model {model.name}, D={cfg.D}, box side {cfg.n + 1}")
     print(f"box gap: {_fmt(gamma)}")
     print(f"min eig of H_B^2 - gap*H_B: {_fmt(witness)}")
-    print("tolerance: -1e-9")
-    ok = witness >= -1e-9
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _verdict(witness >= -1e-9, "-1e-9")
 
 
-def _verify_coarse_grain(cfg: RunConfig) -> int:
+def _verify_coarse_grain(cfg: argparse.Namespace) -> int:
     spec = resolve_model(cfg.model, R=cfg.R)
     if not isinstance(spec, FiniteRangeSpec):
         raise ValueError(
@@ -339,7 +309,7 @@ def _verify_coarse_grain(cfg: RunConfig) -> int:
         )
     if spec.R != cfg.R:
         raise ValueError(f"--R {cfg.R} does not match the spec's R={spec.R}")
-    dense_limit = cfg.resolved_dense_limit
+    dense_limit = _dense_limit(cfg)
     cg = coarse_grain(spec)
     print(f"coarse-grain: model {cfg.model}, d={spec.d}, R={spec.R}")
     print(
@@ -375,7 +345,7 @@ def _verify_coarse_grain(cfg: RunConfig) -> int:
         if not exact:
             failures += 1
         preserved = verify_ground_space_preservation(
-            spec, [(0, 0, 0), (1, 0, 0)], config=cfg.solver_config
+            spec, [(0, 0, 0), (1, 0, 0)], config=_solver_config(cfg)
         )
         print(f"ground-space preservation on a 2-cube region: {_fmt_bool(preserved)}")
         if not preserved:
@@ -389,12 +359,12 @@ def _verify_coarse_grain(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def _verify_prop_key(cfg: RunConfig) -> int:
+def _verify_prop_key(cfg: argparse.Namespace) -> int:
     if cfg.n is None or cfg.N is None:
         raise ValueError("prop-key needs --n and --N")
     model = _nn_model(cfg)
     rep = verify_proposition_key(
-        model, cfg.D, cfg.n, cfg.N, config=cfg.solver_config
+        model, cfg.D, cfg.n, cfg.N, config=_solver_config(cfg)
     )
     print(f"box-sum inequalities: model {model.name}, D={cfg.D}, n={cfg.n}, N={cfg.N}")
     print(f"box gap: {_fmt(rep.gamma_box)}")
@@ -403,36 +373,17 @@ def _verify_prop_key(cfg: RunConfig) -> int:
     print(f"in_regime: {_fmt_bool(rep.in_regime)}")
     for note in rep.notes:
         print(f"note: {note}")
-    print("PASS" if rep.passed else "FAIL")
-    return 0 if rep.passed else 1
+    return _verdict(rep.passed)
 
 
-def _verify_aligned(cfg: RunConfig) -> int:
+def _verify_aligned(cfg: argparse.Namespace) -> int:
     if cfg.side is None or cfg.side < 3:
         raise ValueError(f"--side must be >= 3, got {cfg.side}")
     model = _nn_model(cfg)
-    w = aligned_pair_witness(model, cfg.side, config=cfg.solver_config)
+    w = aligned_pair_witness(model, cfg.side, config=_solver_config(cfg))
     print(f"aligned-pair aggregate: model {model.name}, ring m={cfg.side}")
     print(f"min eig of 2H + Q: {_fmt(w)}")
-    print("tolerance: -1e-9")
-    ok = w >= -1e-9
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
-_VERIFIERS = {
-    "counting": _verify_counting,
-    "square-identity": _verify_square_identity,
-    "cauchy-schwarz": _verify_cauchy_schwarz,
-    "per-box": _verify_per_box,
-    "coarse-grain-identity": _verify_coarse_grain,
-    "prop-key": _verify_prop_key,
-    "aligned": _verify_aligned,
-}
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    return _VERIFIERS[cfg.check](cfg)
+    return _verdict(w >= -1e-9, "-1e-9")
 
 
 # -- sweep ------------------------------------------------------------------
@@ -442,7 +393,7 @@ def _csv_field(x) -> str:
     return "" if x is None else _fmt(x)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.n_from is None or cfg.n_to is None:
         raise ValueError("sweep needs --n-from and --n-to")
     if cfg.n_from < 1:
@@ -450,64 +401,60 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.n_to < cfg.n_from:
         raise ValueError(f"empty sweep range: n-from {cfg.n_from} > n-to {cfg.n_to}")
     model = _nn_model(cfg)
+    config = _solver_config(cfg)
     periodic = cfg.boundary == "periodic"
-    lines = [CSV_HEADER]
-    comments = []
-    ns, gaps = [], []
-    failures = 0
-    for n in range(cfg.n_from, cfg.n_to + 1):
-        t0 = time.perf_counter()
-        try:
-            rep = subsystem_gap(
-                model, cfg.D, n, periodic=periodic, config=cfg.solver_config
+    # --out is opened before the first solve: an unwritable path costs none
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+        lines = [CSV_HEADER]
+        comments = []
+        ns, gaps = [], []
+        failures = 0
+        for n in range(cfg.n_from, cfg.n_to + 1):
+            t0 = time.perf_counter()
+            try:
+                rep = subsystem_gap(model, cfg.D, n, periodic=periodic, config=config)
+            except (SolverConvergenceError, GapUndefinedError, DimensionLimitError) as exc:
+                lines.append(f"{cfg.model},{cfg.D},{n},{cfg.boundary},error,,,,,,0")
+                comments.append(f"# error at n={n}: {exc}")
+                failures += 1
+                continue
+            ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.timings else 0
+            thr = {
+                name: t.threshold(n) if t.covers(n) else None
+                for name, t in THEOREM_TABLE.items()
+            }
+            selected = thr.get(cfg.theorem)
+            margin = None if selected is None else rep.gap - selected
+            lines.append(
+                ",".join(
+                    [
+                        str(cfg.model),
+                        str(cfg.D),
+                        str(n),
+                        cfg.boundary,
+                        _fmt(rep.gap),
+                        str(rep.kernel_dim),
+                        *(_csv_field(thr[name]) for name in _THRESHOLD_COLUMNS),
+                        _csv_field(margin),
+                        str(ms),
+                    ]
+                )
             )
-        except (SolverConvergenceError, GapUndefinedError, DimensionLimitError) as exc:
-            lines.append(f"{cfg.model},{cfg.D},{n},{cfg.boundary},error,,,,,,0")
-            comments.append(f"# error at n={n}: {exc}")
-            failures += 1
-            continue
-        ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.timings else 0
-        thr = {
-            name: t.threshold(n) if t.covers(n) else None
-            for name, t in THEOREM_TABLE.items()
-        }
-        selected = thr.get(cfg.theorem)
-        margin = None if selected is None else rep.gap - selected
-        lines.append(
-            ",".join(
-                [
-                    str(cfg.model),
-                    str(cfg.D),
-                    str(n),
-                    cfg.boundary,
-                    _fmt(rep.gap),
-                    str(rep.kernel_dim),
-                    *(_csv_field(thr[name]) for name in _THRESHOLD_COLUMNS),
-                    _csv_field(margin),
-                    str(ms),
-                ]
+            if rep.gap > 0:
+                ns.append(n)
+                gaps.append(rep.gap)
+        if len(ns) >= 4:
+            fit = fit_power_law(ns, gaps)
+            comments.append(
+                f"# fit: gap ~ C*n^-alpha over {len(ns)} sizes: "
+                f"alpha={_fmt(fit.exponent)}, C={_fmt(fit.prefactor)}, "
+                f"r2={_fmt(fit.r_squared)}"
             )
-        )
-        if rep.gap > 0:
-            ns.append(n)
-            gaps.append(rep.gap)
-    if len(ns) >= 4:
-        fit = fit_power_law(ns, gaps)
-        comments.append(
-            f"# fit: gap ~ C*n^-alpha over {len(ns)} sizes: "
-            f"alpha={_fmt(fit.exponent)}, C={_fmt(fit.prefactor)}, "
-            f"r2={_fmt(fit.r_squared)}"
-        )
-    else:
-        comments.append(
-            f"# fit: skipped (needs >= 4 positive gaps, have {len(ns)})"
-        )
-    text = "\n".join(lines + comments) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        else:
+            comments.append(
+                f"# fit: skipped (needs >= 4 positive gaps, have {len(ns)})"
+            )
+        fh.write("\n".join(lines + comments) + "\n")
     return 2 if failures else 0
 
 
@@ -541,6 +488,7 @@ def build_parser() -> _Parser:
     p_gap.add_argument(
         "--boundary", choices=("open", "periodic"), default="open"
     )
+    p_gap.set_defaults(run=cmd_gap)
 
     p_cert = sub.add_parser(
         "certify", parents=[common], help="evaluate a finite-size gap criterion"
@@ -554,6 +502,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run the main criterion below D=3 (flagged non-rigorous)",
     )
+    p_cert.set_defaults(run=cmd_certify)
 
     # leaf parsers only: a shared dest on both this level and its children
     # would let the child's default clobber a value parsed at this level
@@ -566,6 +515,7 @@ def build_parser() -> _Parser:
     v_count.add_argument("--D", type=int, required=True)
     v_count.add_argument("--n", type=int, required=True, help="box parameter")
     v_count.add_argument("--N", type=int, required=True, help="torus half-side")
+    v_count.set_defaults(run=_verify_counting)
 
     v_sq = vsub.add_parser(
         "square-identity", parents=[common], help="H^2 = H + Q + R on a torus"
@@ -578,6 +528,7 @@ def build_parser() -> _Parser:
     v_sq.add_argument("--trials", type=int, default=20)
     v_sq.add_argument("--d", type=int, default=2, help="local dimension for --model random")
     v_sq.add_argument("--rank", type=int, default=None, help="rank for --model random")
+    v_sq.set_defaults(run=_verify_square_identity)
 
     v_cs = vsub.add_parser(
         "cauchy-schwarz",
@@ -586,6 +537,7 @@ def build_parser() -> _Parser:
     )
     v_cs.add_argument("--d", type=int, default=2, help="local dimension")
     v_cs.add_argument("--samples", type=int, default=100)
+    v_cs.set_defaults(run=_verify_cauchy_schwarz)
 
     v_pb = vsub.add_parser(
         "per-box", parents=[common], help="H_B^2 >= gap * H_B on the open box"
@@ -593,6 +545,7 @@ def build_parser() -> _Parser:
     v_pb.add_argument("--model", required=True)
     v_pb.add_argument("--D", type=int, default=2)
     v_pb.add_argument("--n", type=int, required=True, help="box parameter")
+    v_pb.set_defaults(run=_verify_per_box)
 
     v_cg = vsub.add_parser(
         "coarse-grain-identity",
@@ -601,6 +554,7 @@ def build_parser() -> _Parser:
     )
     v_cg.add_argument("--model", required=True, help="finite-range registry name or file")
     v_cg.add_argument("--R", type=int, default=1, help="interaction range (odd)")
+    v_cg.set_defaults(run=_verify_coarse_grain)
 
     v_pk = vsub.add_parser(
         "prop-key", parents=[common], help="box-sum operator inequalities on a torus"
@@ -609,12 +563,14 @@ def build_parser() -> _Parser:
     v_pk.add_argument("--D", type=int, default=2)
     v_pk.add_argument("--n", type=int, required=True, help="box parameter")
     v_pk.add_argument("--N", type=int, required=True, help="torus half-side")
+    v_pk.set_defaults(run=_verify_prop_key)
 
     v_al = vsub.add_parser(
         "aligned", parents=[common], help="aligned-pair aggregate -Q <= 2H on a ring"
     )
     v_al.add_argument("--model", required=True)
     v_al.add_argument("--side", type=int, default=6, help="ring length in sites")
+    v_al.set_defaults(run=_verify_aligned)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="gap vs size CSV with threshold columns"
@@ -631,24 +587,16 @@ def build_parser() -> _Parser:
     p_sweep.add_argument(
         "--timings", action="store_true", help="real runtime_ms (breaks byte-identity)"
     )
+    p_sweep.set_defaults(run=cmd_sweep)
     return parser
 
 
-_COMMANDS = {
-    "gap": cmd_gap,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
+    cfg = build_parser().parse_args(argv)
     try:
         if cfg.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {cfg.seed}")
-        return _COMMANDS[cfg.command](cfg)
+        return cfg.run(cfg)
     except (ValueError, ModelFormatError, DimensionLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,9 +41,6 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator
 
 KERNEL_TOL = 1e-8
-# Largest |Im| of a Ritz value, relative to the spectrum's scale, that is taken
-# as roundoff of a Hermitian solve (Arnoldi roundoff is ~ ncv * eps * ||H||)
-RITZ_IMAG_RTOL = 1e-10
 
 
 class SolverConvergenceError(RuntimeError):
@@ -112,25 +109,6 @@ def _residuals(op, vals, vecs):
     return out
 
 
-def _real_ritz(vals, Av0):
-    """Ritz values as a real array, refusing an imaginary part above roundoff.
-
-    The scale is the larger of the largest |Ritz value| and ||A v0|| (Av0 is
-    the matrix applied to the unit start vector), the RMS eigenvalue, so a
-    kernel-only window is not judged against its own zeros.
-    """
-    if not np.iscomplexobj(vals):
-        return vals
-    scale = max(float(np.abs(vals).max()), float(np.linalg.norm(Av0)))
-    worst = float(np.abs(vals.imag).max())
-    if worst > RITZ_IMAG_RTOL * scale:
-        raise SolverConvergenceError(
-            f"Ritz values have imaginary parts up to {worst:.3g} at scale {scale:.3g}; "
-            f"the operator is not Hermitian to roundoff"
-        )
-    return vals.real
-
-
 def _dense_lowest(A, k: int):
     """Lowest k pairs of a dense Hermitian array (all of them for k >= dim)."""
     subset = None if k >= A.shape[0] else [0, k - 1]
@@ -172,7 +150,6 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
         raise SolverConvergenceError(
             f"ARPACK could not iterate at dim {dim}: {exc}"
         ) from exc
-    vals = _real_ritz(vals, A @ v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

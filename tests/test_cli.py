@@ -1,9 +1,11 @@
+import argparse
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gapcert.cli import CSV_HEADER, RunConfig, cs_witnesses, main
+from gapcert import cli
+from gapcert.cli import CSV_HEADER, build_parser, cs_witnesses, main
 from gapcert.criteria import threshold_main
 from gapcert.models import save_model
 from gapcert.operators import NNInteraction
@@ -62,7 +64,8 @@ class TestGap:
 
     def test_one_default_dense_limit(self, monkeypatch):
         monkeypatch.delenv("GAPCERT_DENSE_LIMIT", raising=False)
-        assert EigenSolveConfig().dense_limit == RunConfig(command="gap").resolved_dense_limit
+        cfg = build_parser().parse_args(["gap", "--model", "aklt", "--n", "1"])
+        assert EigenSolveConfig().dense_limit == cli._dense_limit(cfg)
 
     def test_bad_env_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("GAPCERT_DENSE_LIMIT", "lots")
@@ -164,6 +167,21 @@ class TestExitCodes:
         assert str(path) in err
         assert not path.exists()
 
+    def test_unwritable_sweep_out_refused_before_any_solve(self, capsys, monkeypatch, tmp_path):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep solved before opening --out")
+
+        monkeypatch.setattr(cli, "subsystem_gap", no_solve)
+        path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(
+            capsys, "sweep", "--model", "heisenberg-ferro", "--n-from", "2", "--n-to", "12",
+            "--out", str(path),
+        )
+        assert rc == 3
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert out == ""
+
     def test_malformed_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("d=2\n1.0 0,0 0,0 0,0\n")
@@ -174,11 +192,9 @@ class TestExitCodes:
     def test_unconverged_lanczos_is_numerical_failure(self, capsys, monkeypatch):
         # one ARPACK iteration converges at most a few Ritz pairs of the 8-site
         # chain; that is a solver failure (exit 2), never a partial spectrum
-        solver_config = RunConfig.solver_config.fget
+        solver_config = cli._solver_config
         monkeypatch.setattr(
-            RunConfig,
-            "solver_config",
-            property(lambda cfg: replace(solver_config(cfg), max_iter=1)),
+            cli, "_solver_config", lambda cfg: replace(solver_config(cfg), max_iter=1)
         )
         rc, out, err = run(
             capsys, "gap", "--model", "heisenberg-ferro", "--D", "1", "--n", "7",
@@ -508,3 +524,158 @@ def test_counting_output_golden(capsys, D, n, N):
     assert rc == 1
     assert out == COUNTING_GOLDEN[(D, n, N)]
     assert err == ""
+
+
+# Exit code and stdout of the verifiers that end with an optional tolerance
+# line and a PASS/FAIL line.  An expected line that ends in a space is
+# matched up to a roundoff-sized value.
+VERIFY_GOLDEN = {
+    "square-identity --model heisenberg-ferro --D 2 --side 4 --trials 2": (0, [
+        "square identity: model heisenberg-ferro, D=2, torus side 4",
+        "pairs: 96 touching, 400 disjoint",
+        "max residual over 2 random vectors: ",
+        "tolerance: 1e-10",
+        "PASS",
+    ]),
+    "square-identity --model random --d 2 --rank 1 --side 4": (0, [
+        "square identity: model random-d2-r1-s7, D=1, torus side 4",
+        "pairs: 4 touching, 2 disjoint",
+        "max residual over 20 random vectors: ",
+        "tolerance: 1e-10",
+        "PASS",
+    ]),
+    "cauchy-schwarz": (0, [
+        "cauchy-schwarz: d=2, 100 random projection pairs, seed 7",
+        "min witness: ",
+        "tolerance: -1e-10",
+        "PASS",
+    ]),
+    "cauchy-schwarz --d 3 --samples 10 --seed 2": (0, [
+        "cauchy-schwarz: d=3, 10 random projection pairs, seed 2",
+        "min witness: ",
+        "tolerance: -1e-10",
+        "PASS",
+    ]),
+    "per-box --model heisenberg-ferro --D 1 --n 3": (0, [
+        "per-box bound: model heisenberg-ferro, D=1, box side 4",
+        "box gap: 0.292893218813",
+        "min eig of H_B^2 - gap*H_B: ",
+        "tolerance: -1e-9",
+        "PASS",
+    ]),
+    "per-box --model aklt --D 1 --n 3": (0, [
+        "per-box bound: model aklt, D=1, box side 4",
+        "box gap: 0.448955865859",
+        "min eig of H_B^2 - gap*H_B: ",
+        "tolerance: -1e-9",
+        "PASS",
+    ]),
+    "prop-key --model heisenberg-ferro --D 2 --n 1 --N 1": (0, [
+        "box-sum inequalities: model heisenberg-ferro, D=2, n=1, N=1",
+        "box gap: 1",
+        "witness upper (rhs - A): ",
+        "witness lower (A - c*gap*H): ",
+        "in_regime: false",
+        "note: out-of-regime: criterion hypotheses are D >= 3, n >= 3, N >= 2n+1; "
+        "ran at D=2, n=1, N=1",
+        "note: sum identity: max |sum_l H_B v - 2 H v| = ",
+        "PASS",
+    ]),
+    "prop-key --model heisenberg-ferro --D 2 --n 2 --N 1": (1, [
+        "box-sum inequalities: model heisenberg-ferro, D=2, n=2, N=1",
+        "box gap: 0.5",
+        "witness upper (rhs - A): -156",
+        "witness lower (A - c*gap*H): ",
+        "in_regime: false",
+        "note: out-of-regime: criterion hypotheses are D >= 3, n >= 3, N >= 2n+1; "
+        "ran at D=2, n=2, N=1",
+        "note: sum identity: max |sum_l H_B v - 6 H v| = ",
+        "FAIL",
+    ]),
+    "aligned --model heisenberg-ferro --side 5": (0, [
+        "aligned-pair aggregate: model heisenberg-ferro, ring m=5",
+        "min eig of 2H + Q: ",
+        "tolerance: -1e-9",
+        "PASS",
+    ]),
+    "aligned --model aklt --side 4": (0, [
+        "aligned-pair aggregate: model aklt, ring m=4",
+        "min eig of 2H + Q: ",
+        "tolerance: -1e-9",
+        "PASS",
+    ]),
+    "coarse-grain-identity --model heisenberg-ferro-fr": (0, [
+        "coarse-grain: model heisenberg-ferro-fr, d=2, R=1",
+        "cell terms: 3 (3 shapes x 1 placements; conserved)",
+        "class Face: axes [0], 2 cube(s), 1 term(s), block dim 4, projection ok",
+        "class Face: axes [1], 2 cube(s), 1 term(s), block dim 4, projection ok",
+        "class Face: axes [2], 2 cube(s), 1 term(s), block dim 4, projection ok",
+        "R=1 identity (matrices equal entrywise): true",
+        "ground-space preservation on a 2-cube region: true",
+        "PASS",
+    ]),
+    "coarse-grain-identity --model heisenberg-ferro-fr --R 3": (0, [
+        "coarse-grain: model heisenberg-ferro-fr, d=2, R=3",
+        "cell terms: 81 (3 shapes x 27 placements; conserved)",
+        "class OnSite: axes [], 1 cube(s), 54 term(s), block dim 134217728, "
+        "matrix skipped (exceeds dense limit)",
+        *(
+            f"class Face: axes [{axis}], 2 cube(s), 9 term(s), block dim 18014398509481984, "
+            "matrix skipped (exceeds dense limit)"
+            for axis in range(3)
+        ),
+        "note: 4 class matrices not materialized; structural checks "
+        "(assignment, term conservation) only",
+        "PASS",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_GOLDEN))
+def test_verify_output_golden(capsys, case):
+    rc, out, err = run(capsys, "verify", *case.split())
+    want_rc, want_lines = VERIFY_GOLDEN[case]
+    assert rc == want_rc
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(want_lines)
+    for got, want in zip(lines, want_lines):
+        if want.endswith(" "):
+            assert got.startswith(want)
+            assert abs(float(got[len(want):].split()[0])) < 1e-12
+        else:
+            assert got == want
+
+
+def _leaf_commands(parser, path=()):
+    """(argv prefix, parser) of every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [
+        leaf
+        for name, child in subs[0].choices.items()
+        for leaf in _leaf_commands(child, path + (name,))
+    ]
+
+
+LEAF_COMMANDS = _leaf_commands(build_parser())
+
+
+def test_leaf_commands():
+    assert sorted(" ".join(path) for path, _ in LEAF_COMMANDS) == [
+        "certify", "gap", "sweep",
+        "verify aligned", "verify cauchy-schwarz", "verify coarse-grain-identity",
+        "verify counting", "verify per-box", "verify prop-key", "verify square-identity",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path,parser", LEAF_COMMANDS, ids=[" ".join(path) for path, _ in LEAF_COMMANDS]
+)
+def test_each_leaf_names_its_handler(capsys, path, parser):
+    assert callable(parser.get_default("run"))
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gapcert {' '.join(path)}")

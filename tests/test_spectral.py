@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from gapcert.lattice import grid_edges, grid_sites
@@ -94,25 +93,6 @@ class TestLowestEigenvalues:
             for v, r in lowest_eigenvalues(H, cfg):
                 assert type(v) is float
                 assert type(r) is float
-
-    def test_complex_ritz_values(self, monkeypatch):
-        # a solver that hands back complex Ritz values: roundoff imaginary
-        # parts are dropped, anything larger means the solve is not Hermitian
-        eigsh = scipy.sparse.linalg.eigsh
-        imag = [0.0]
-
-        def complex_eigsh(*args, **kwargs):
-            vals, vecs = eigsh(*args, **kwargs)
-            return vals + 1j * imag[0], vecs
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", complex_eigsh)
-        H = ferro_chain(6)
-        cfg = EigenSolveConfig(k=4, dense_limit=1)
-        imag[0] = 1e-17
-        assert all(type(v) is float for v, _ in lowest_eigenvalues(H, cfg))
-        imag[0] = 1e-3
-        with pytest.raises(SolverConvergenceError):
-            lowest_eigenvalues(H, cfg)
 
 
 class TestSpectralGap:
