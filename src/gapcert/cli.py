@@ -132,7 +132,7 @@ def _nn_model(cfg: argparse.Namespace) -> NNInteraction:
 
 
 def cmd_gap(cfg: argparse.Namespace) -> int:
-    if cfg.n is None or cfg.n < 1:
+    if cfg.n < 1:
         raise ValueError(f"--n must be >= 1, got {cfg.n}")
     model = _nn_model(cfg)
     periodic = cfg.boundary == "periodic"
@@ -159,8 +159,6 @@ def cmd_gap(cfg: argparse.Namespace) -> int:
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
-    if cfg.n is None:
-        raise ValueError("--n is required")
     model = _nn_model(cfg)
     result = certify(
         model,
@@ -203,8 +201,6 @@ def _counts_str(counter) -> str:
 
 
 def _verify_counting(cfg: argparse.Namespace) -> int:
-    if cfg.n is None or cfg.N is None:
-        raise ValueError("counting needs --n and --N")
     rep = verify_counting_lemma(cfg.n, LatticeGeometry(D=cfg.D, N=cfg.N))
     print(f"counting check: D={cfg.D}, n={cfg.n}, N={cfg.N} (torus side {2 * cfg.N})")
     print(f"edges: expected {rep.edge_expected}, observed {_counts_str(rep.edge_counts)}")
@@ -238,7 +234,7 @@ def _verify_counting(cfg: argparse.Namespace) -> int:
 
 
 def _verify_square_identity(cfg: argparse.Namespace) -> int:
-    if cfg.side is None or cfg.side < 2:
+    if cfg.side < 2:
         raise ValueError(f"--side must be >= 2, got {cfg.side}")
     if cfg.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {cfg.trials}")
@@ -290,7 +286,7 @@ def _verify_cauchy_schwarz(cfg: argparse.Namespace) -> int:
 
 
 def _verify_per_box(cfg: argparse.Namespace) -> int:
-    if cfg.n is None or cfg.n < 1:
+    if cfg.n < 1:
         raise ValueError(f"--n must be >= 1, got {cfg.n}")
     model = _nn_model(cfg)
     witness, gamma = per_box_bound_witness(model, cfg.D, cfg.n, config=_solver_config(cfg))
@@ -360,8 +356,6 @@ def _verify_coarse_grain(cfg: argparse.Namespace) -> int:
 
 
 def _verify_prop_key(cfg: argparse.Namespace) -> int:
-    if cfg.n is None or cfg.N is None:
-        raise ValueError("prop-key needs --n and --N")
     model = _nn_model(cfg)
     rep = verify_proposition_key(
         model, cfg.D, cfg.n, cfg.N, config=_solver_config(cfg)
@@ -377,7 +371,7 @@ def _verify_prop_key(cfg: argparse.Namespace) -> int:
 
 
 def _verify_aligned(cfg: argparse.Namespace) -> int:
-    if cfg.side is None or cfg.side < 3:
+    if cfg.side < 3:
         raise ValueError(f"--side must be >= 3, got {cfg.side}")
     model = _nn_model(cfg)
     w = aligned_pair_witness(model, cfg.side, config=_solver_config(cfg))
@@ -394,8 +388,6 @@ def _csv_field(x) -> str:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    if cfg.n_from is None or cfg.n_to is None:
-        raise ValueError("sweep needs --n-from and --n-to")
     if cfg.n_from < 1:
         raise ValueError(f"--n-from must be >= 1, got {cfg.n_from}")
     if cfg.n_to < cfg.n_from:

@@ -12,8 +12,14 @@ The d=3 basis is ordered by Sz in {+1, 0, -1}.  Any consistent convention
 gives a unitarily equivalent model and identical spectra; one order is
 fixed so that matrices are reproducible entry by entry.  Both built-ins
 conserve total Sz and declare it as per-site charges in that basis order:
-(+1, -1) for the ferro chain, (+1, 0, -1) for AKLT.  Random projections
-declare none and are solved as one sector.
+(+1, -1) for the ferro chain, (+1, 0, -1) for AKLT.  Both are also
+SU(2)-invariant and declare their single-site raising operator S+
+(|up><down| for the ferro chain, the spin-1 S+ for AKLT), so their
+Hamiltonians are solved in the central total-S^z block alone.  Random
+projections declare neither and are solved as one sector.  Model files
+carry charges but no S+: a saved and reloaded built-in is solved block by
+block over every total-charge sector, with the same gap and kernel
+dimension.
 
 File formats (whitespace-separated `re,im` complex entries, row per line):
 nearest-neighbor files start with `d=<int>`, then an optional charge line
@@ -60,7 +66,10 @@ def heisenberg_ferro() -> NNInteraction:
         for b in range(2):
             swap[2 * a + b, 2 * b + a] = 1.0
     P = (np.eye(4) - swap) / 2
-    return NNInteraction(d=2, P=P, name="heisenberg-ferro", charges=(1, -1))
+    up_from_down = np.array([[0.0, 1.0], [0.0, 0.0]])  # |up><down|, basis (up, down)
+    return NNInteraction(
+        d=2, P=P, name="heisenberg-ferro", charges=(1, -1), raising=up_from_down
+    )
 
 
 def _spin1_matrices():
@@ -71,7 +80,7 @@ def _spin1_matrices():
     sx = (sp + sm) / 2
     sy = (sp - sm) / 2j
     sz = np.diag([1.0, 0.0, -1.0]).astype(np.complex128)
-    return sx, sy, sz
+    return sp, sx, sy, sz
 
 
 def aklt() -> NNInteraction:
@@ -81,11 +90,11 @@ def aklt() -> NNInteraction:
     s(s+1)/2 - 2, so (X^2 + 3X + 2)/6 kills the s=0 and s=1 multiplets
     and fixes the five s=2 states.
     """
-    sx, sy, sz = _spin1_matrices()
+    sp, sx, sy, sz = _spin1_matrices()
     X = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     P = (X @ X + 3 * X + 2 * np.eye(9)) / 6
     P = (P + P.conj().T) / 2
-    return NNInteraction(d=3, P=P, name="aklt", charges=(1, 0, -1))
+    return NNInteraction(d=3, P=P, name="aklt", charges=(1, 0, -1), raising=sp)
 
 
 def random_projection(d: int, rank: int, seed: int) -> NNInteraction:

@@ -12,8 +12,10 @@ the operator, so real models run real matvecs on real vectors.  Basis
 convention: site order follows the site list, with the first site the
 most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
 the layout np.kron produces.  An interaction may declare per-site charges
-whose pair sum P conserves; `build_hamiltonian` hands them to the operator,
-and the spectral solvers then split it into total-charge blocks.
+whose pair sum P conserves, and the single-site S+ of an SU(2) symmetry
+of P; `build_hamiltonian` hands both to the operator, and the spectral
+solvers then split it into total-charge blocks, or solve only its central
+block when S+ is declared.
 
 Two size guards, each checked in one place: `ManyBodyOperator.__init__`
 refuses a dimension past `MAX_DIMENSION`, before anything is allocated,
@@ -79,12 +81,20 @@ class NNInteraction:
     `charges`, if given, are d integers, one per basis state of a site, whose
     pair sum P conserves; the check runs here, so a Hamiltonian built from
     the interaction is block diagonal by total charge.
+
+    `raising`, if given, is the single-site spin raising operator S+ (d x d)
+    of an SU(2) symmetry of P.  It needs `charges`, and is refused unless
+    S^z = [S+, S-]/2 is diagonal with charges = c * diag(S^z) for one c > 0,
+    its values are all integers or all half-integers, [S^z, S+] = S+, and
+    P commutes with S+ (x) 1 + 1 (x) S+.  The spectral solvers then solve
+    only the central total-S^z block of a Hamiltonian built from it.
     """
 
     d: int
     P: np.ndarray
     name: str = ""
     charges: tuple | None = None
+    raising: np.ndarray | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=np.complex128)
@@ -106,6 +116,41 @@ class NNInteraction:
                     f"|[P, q(x)1 + 1(x)q]| = {defect:.6e} (tolerance {PROJECTION_TOL:g})"
                 )
             object.__setattr__(self, "charges", charges)
+        if self.raising is not None:
+            object.__setattr__(self, "raising", self._checked_raising(P))
+
+    def _checked_raising(self, P):
+        """`raising` as a complex array; ValueError naming the first defect."""
+        if self.charges is None:
+            raise ValueError("raising needs per-site charges (the S^z sectors)")
+        Sp = np.asarray(self.raising, dtype=np.complex128)
+        if Sp.shape != (self.d, self.d):
+            raise ValueError(f"raising shape {Sp.shape} does not match d = {self.d}")
+        Sm = Sp.conj().T
+        Sz = (Sp @ Sm - Sm @ Sp) / 2
+        sz = np.diag(Sz).real
+        q = np.array(self.charges, dtype=float)
+        c = float(q @ sz / (sz @ sz)) if sz.any() else 0.0
+        defects = [
+            ("S^z = [S+, S-]/2 is not diagonal", np.linalg.norm(Sz - np.diag(sz), 2)),
+            ("[S^z, S+] != S+", np.linalg.norm(Sz @ Sp - Sp @ Sz - Sp, 2)),
+            (f"the charges are not c * diag(S^z) for one c > 0 (diag(S^z) = {sz})",
+             np.inf if c <= 0 else np.abs(q - c * sz).max()),
+            ("the S^z values mix integers and half-integers",
+             np.abs(np.round(2 * sz - 2 * sz[0]) % 2).max()),
+        ]
+        for what, defect in defects:
+            if defect > PROJECTION_TOL:
+                raise ValueError(f"raising refused: {what} (defect {defect:.6e})")
+        eye = np.eye(self.d)
+        total = np.kron(Sp, eye) + np.kron(eye, Sp)
+        defect = np.linalg.norm(P @ total - total @ P, 2)
+        if defect > PROJECTION_TOL:
+            raise ValueError(
+                f"P is not SU(2)-invariant under the declared raising operator: "
+                f"|[P, S+(x)1 + 1(x)S+]| = {defect:.6e} (tolerance {PROJECTION_TOL:g})"
+            )
+        return Sp
 
     def check(self, tol: float = PROJECTION_TOL) -> bool:
         return projection_check(self.P, tol)
@@ -165,14 +210,18 @@ class ManyBodyOperator:
     stored, assembled and applied in it.  `charges`, if given, are d
     per-site integers whose total every term conserves (the caller's
     guarantee; `NNInteraction` checks it); the spectral solvers then work
-    sector by sector.  A dimension past `MAX_DIMENSION` is refused with
-    DimensionLimitError before any term is read.
+    sector by sector.  `raising`, if given, is the single-site S+ of an
+    SU(2) symmetry of every term, with the charges proportional to S^z (the
+    same guarantee); the spectral solvers then solve one sector only.  A
+    dimension past `MAX_DIMENSION` is refused with DimensionLimitError
+    before any term is read.
     """
 
-    def __init__(self, site_list, d: int, terms, charges=None):
+    def __init__(self, site_list, d: int, terms, charges=None, raising=None):
         self.site_list = list(site_list)
         self.d = int(d)
         self.charges = None if charges is None else tuple(charges)
+        self.raising = None if raising is None else np.asarray(raising)
         if len(set(self.site_list)) != len(self.site_list):
             raise ValueError("site list contains duplicates")
         self.dimension = self.d ** len(self.site_list)
@@ -343,7 +392,9 @@ def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyO
             f"interaction failed projection check: ||P-P*||={herm:.3g}, ||P^2-P||={idem:.3g}"
         )
     terms = [((e.tail, e.head), interaction.P) for e in sorted(edges)]
-    return ManyBodyOperator(site_list, interaction.d, terms, interaction.charges)
+    return ManyBodyOperator(
+        site_list, interaction.d, terms, interaction.charges, interaction.raising
+    )
 
 
 def _anticommutator(term1, term2, d: int):

@@ -14,19 +14,36 @@ of the CSR assembly.
 There is one solve path, shared by `spectral_gap`, `lowest_eigenvalues`
 and the inequality witness built on it.  An operator that declares
 per-site charges (both built-in models conserve total Sz) is solved one
-total-charge block at a time: the CSR is permuted once by charge label and
-cut into its diagonal blocks; an operator without charges is one block.
-The dense limit still compares the whole dimension, so it picks the path
-for every block; on the iterative path a block too small for ARPACK to
-reach past its kernel, or for the k asked of it, is solved by dense
-`eigh`.  The lowest pairs are merged across blocks and their eigenvectors
-embedded back into the full space.  gap = min over blocks and
-kernel_dim = sum over blocks.  A degenerate kernel spread over sectors,
-such as a total-spin multiplet, is then counted exactly on both paths.
-The kernel dimension is an estimate only where ARPACK solves a
-block, or an operator without charges, whose own kernel is degenerate:
-Lanczos may not resolve that multiplicity even when the gap itself is
-converged well past the requested tolerance.
+total-charge block at a time: each block is the principal submatrix of
+the CSR on the basis indices of one total charge; an operator without
+charges is one block.  The dense limit still compares the whole dimension,
+so it picks the path for every block; on the iterative path a block too
+small for ARPACK to reach past its kernel, or for the k asked of it, is
+solved by dense `eigh`.  The lowest pairs are merged across blocks and
+their eigenvectors embedded back into the full space.  gap = min over
+blocks and kernel_dim = sum over blocks.
+
+An operator that also declares the single-site raising operator S+ of an
+SU(2) symmetry (both built-ins do; model files do not) is solved in one
+block only: the central one, total S^z = M0 with M0 = 0, or 1/2 when 0
+cannot occur.  Every multiplet of total spin S has exactly one member
+there, and the other blocks repeat its eigenvalue.  So each central
+eigenvalue is counted 2S+1 times, with S read off the Gram matrix of S+
+applied to its cluster of (numerically) degenerate eigenvectors:
+|S+ v|^2 = S(S+1) - M0(M0+1).  A cluster that the block's k may have cut
+is left out until k is widened past it, and a 2S+1 that is not an integer
+is a SolverConvergenceError.  Each copy carries the residual of its
+central eigenvector.
+
+The kernel dimension is exact on the dense path, where every cluster is
+whole.  On the iterative path it is exact when ARPACK resolves every
+degenerate kernel vector of each block it solves: a ferro central block
+has one (the fully polarized multiplet), an AKLT open chain's has two
+(S = 0 and S = 1).  Where ARPACK misses one, the count is an estimate,
+even when the gap itself is converged well past the requested tolerance.
+On the one-sector path the guard on 2S+1 refuses a cluster whose vectors
+mix the members of degenerate multiplets, but not one that misses a whole
+multiplet.
 """
 
 from __future__ import annotations
@@ -38,9 +55,11 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator
+from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, ManyBodyOperator
 
 KERNEL_TOL = 1e-8
+CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
+MULTIPLICITY_TOL = 1e-6  # largest distance of a computed 2S+1 from an integer
 
 
 class SolverConvergenceError(RuntimeError):
@@ -103,10 +122,8 @@ class GapReport:
 
 
 def _residuals(op, vals, vecs):
-    out = []
-    for lam, v in zip(vals, vecs.T):
-        out.append(float(np.linalg.norm(op.apply(v) - lam * v)))
-    return out
+    """||op v - lam v|| of each column v, from one batched matvec."""
+    return np.linalg.norm(op.apply(vecs) - vecs * vals, axis=0).tolist()
 
 
 def _dense_lowest(A, k: int):
@@ -154,37 +171,45 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     return vals[order], vecs[:, order]
 
 
-def _charge_blocks(op):
-    """[(block CSR, basis indices of the block)] by total charge.
+def _charge_labels(op):
+    """Total charge of every basis index; refuses an operator that couples two.
 
     Each basis index is labelled by a running sum of the per-site charges;
-    the CSR is permuted once so that equal labels are contiguous, and each
-    block is a diagonal slice of it.  One block (all indices) when the
-    operator declares no charges.
+    a stored nonzero whose row and column labels differ is a coupling.
     """
-    A, dim = op.sparse(), op.dimension
-    charges = getattr(op, "charges", None)
-    if charges is None:
-        return [(A, slice(None))]
+    A = op.sparse()
     labels = np.zeros(1, dtype=np.int64)
     for _ in op.site_list:
-        labels = (labels[:, None] + np.asarray(charges, dtype=np.int64)).ravel()
+        labels = (labels[:, None] + np.asarray(op.charges, dtype=np.int64)).ravel()
+    rows = np.repeat(labels, np.diff(A.indptr))
+    if np.count_nonzero(A.data[rows != labels[A.indices]]):
+        raise ValueError(f"operator couples different sectors of its charges {op.charges}")
+    return labels
+
+
+def _charge_blocks(op):
+    """[(block CSR, basis indices of the block)] by ascending total charge.
+
+    Each block is the principal submatrix on the indices of one label, in
+    ascending index order.  One block (all indices) when the operator
+    declares no charges.
+    """
+    A = op.sparse()
+    if getattr(op, "charges", None) is None:
+        return [(A, slice(None))]
+    labels = _charge_labels(op)
     order = np.argsort(labels, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), dim]
-    A = A[order][:, order]
-    blocks = [(A[lo:hi, lo:hi], order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    if sum(B.nnz for B, _ in blocks) != A.nnz:
-        raise ValueError(f"operator couples different sectors of its charges {charges}")
-    return blocks
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [(A[idx][:, idx], idx) for idx in np.split(order, cuts)]
 
 
-def _block_lowest(B, config: EigenSolveConfig, kernel_tol: float, iterative: bool):
-    """Lowest pairs of one charge block: at least min(dim, config.k) of them,
-    widened by doubling until one lies above kernel_tol or the block is
+def _block_lowest(B, config: EigenSolveConfig, iterative: bool, enough):
+    """Lowest pairs of one block: at least min(dim, config.k) of them,
+    widened by doubling until `enough(vals, vecs)` holds or the block is
     exhausted.
 
     On the iterative path ARPACK runs while its k fits under dim - 2 and
-    config.max_k; a block too small for ARPACK to reach past its kernel is
+    config.max_k; a block too small for ARPACK to reach far enough is
     solved by dense eigh instead.
     """
     n = B.shape[0]
@@ -198,7 +223,7 @@ def _block_lowest(B, config: EigenSolveConfig, kernel_tol: float, iterative: boo
             if dense is None:
                 dense = B.toarray()
             vals, vecs = _dense_lowest(dense, k)
-        if vals[-1] > kernel_tol or len(vals) == n:
+        if enough(vals, vecs) or len(vals) == n:
             return vals, vecs
         if not arpack:
             k = min(2 * k, n)
@@ -208,50 +233,121 @@ def _block_lowest(B, config: EigenSolveConfig, kernel_tol: float, iterative: boo
             arpack, k = False, n
         else:
             raise GapUndefinedError(
-                f"all {k} computed eigenvalues of a {n}-state block lie within "
-                f"kernel tolerance {kernel_tol} (k={k}, max_k={config.max_k})"
+                f"the lowest {k} eigenvalues of a {n}-state block do not reach "
+                f"past its kernel (k={k}, max_k={config.max_k})"
             )
 
 
-def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
-    """Lowest pairs of every charge block, as ([(vals, vecs, basis indices)], method).
+def _multiplicities(raising, m0: float, idx, vals, vecs, exhausted: bool):
+    """2S+1 of each central-block pair in the complete clusters of `vals`.
 
-    The path is one for all blocks: "dense" when the operator's whole
-    dimension is at most config.dense_limit, else "iterative".
+    A cluster is a run of eigenvalues each within CLUSTER_TOL of the next.
+    The top cluster may be cut by k, so it is left out unless the block is
+    exhausted; the result covers vals[:len(result)].  On a cluster's
+    eigenvectors V, the Gram matrix of S+ V has eigenvalues
+    |S+ v|^2 = S(S+1) - M0(M0+1), one per spin S in the cluster, so
+    2S+1 = sqrt(4g + (2 M0 + 1)^2).  They are paired with the cluster's
+    eigenvalues in ascending order.
+    """
+    bounds = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1).tolist(), len(vals)]
+    if not exhausted:
+        bounds.pop()
+    V = np.zeros((raising.dimension, bounds[-1]), dtype=vecs.dtype)
+    V[idx] = vecs[:, : bounds[-1]]
+    W = raising.apply(V)
+    gram = W.conj().T @ W
+    weights = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        g = np.linalg.eigvalsh(gram[lo:hi, lo:hi])
+        mult = np.sqrt(np.maximum(4 * g + (2 * m0 + 1) ** 2, 0.0))
+        if np.abs(mult - np.round(mult)).max() > MULTIPLICITY_TOL:
+            raise SolverConvergenceError(
+                f"multiplet sizes 2S+1 = {mult.tolist()} of the eigenvalue cluster "
+                f"at {vals[lo]:.12g} are not integers within {MULTIPLICITY_TOL:g}; "
+                f"the cluster's eigenvectors do not span whole multiplets"
+            )
+        weights.extend(np.round(mult).astype(int).tolist())
+    return np.array(weights, dtype=int)
+
+
+def _central_lowest(op, config: EigenSolveConfig, kernel_tol: float, iterative: bool):
+    """(vals, vecs, basis indices, multiplicities) of the central block.
+
+    The central block is total S^z = M0, the smallest M0 >= 0 present (0,
+    or 1/2 when 0 cannot occur); with the site spins all integer or all
+    half-integer, every multiplet has exactly one member there.  Widened
+    until its complete clusters expand to max(config.k, kernel + 1) values.
+    """
+    labels = _charge_labels(op)
+    idx = np.flatnonzero(labels == labels[labels >= 0].min())
+    B = op.sparse()[idx][:, idx]
+    Sp = op.raising
+    sz = np.diag(Sp @ Sp.conj().T - Sp.conj().T @ Sp).real / 2
+    m0 = float(sz[list(np.unravel_index(idx[0], (op.d,) * len(op.site_list)))].sum())
+    raising = ManyBodyOperator(op.site_list, op.d, [((s,), Sp) for s in op.site_list])
+    weights = None
+
+    def enough(vals, vecs):
+        nonlocal weights
+        weights = _multiplicities(raising, m0, idx, vals, vecs, len(vals) == len(idx))
+        kernel = weights[vals[: len(weights)] <= kernel_tol].sum()
+        return weights.sum() >= max(config.k, kernel + 1)
+
+    vals, vecs = _block_lowest(B, config, iterative, enough)
+    return vals[: len(weights)], vecs[:, : len(weights)], idx, weights
+
+
+def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
+    """Lowest pairs as ([(vals, vecs, basis indices, multiplicities)], method).
+
+    An operator that declares S+ is one entry, its central block; any other
+    gives one entry per charge block, each pair of multiplicity 1, widened
+    until a value lies above kernel_tol.  The path is one for all blocks:
+    "dense" when the operator's whole dimension is at most
+    config.dense_limit, else "iterative".
     """
     iterative = op.dimension > config.dense_limit
-    solved = [
-        (*_block_lowest(B, config, kernel_tol, iterative), idx)
-        for B, idx in _charge_blocks(op)
-    ]
+    if getattr(op, "raising", None) is not None:
+        solved = [_central_lowest(op, config, kernel_tol, iterative)]
+    else:
+        solved = []
+        for B, idx in _charge_blocks(op):
+            vals, vecs = _block_lowest(B, config, iterative, lambda v, _: v[-1] > kernel_tol)
+            solved.append((vals, vecs, idx, np.ones(len(vals), dtype=int)))
     return solved, "iterative" if iterative else "dense"
 
 
 def _merge_lowest(op, solved, count: int):
-    """The lowest `count` eigenvalues over all solved blocks, ascending, and
-    the residuals of their eigenvectors embedded back into the full space."""
-    merged = [(v, b, c) for b, (vals, _, _) in enumerate(solved) for c, v in enumerate(vals)]
+    """The lowest `count` eigenvalues over all solved blocks, ascending, each
+    repeated by its multiplicity, and for each copy the residual of its
+    eigenvector embedded back into the full space."""
+    merged = [
+        (v, b, c) for b, (vals, _, _, _) in enumerate(solved) for c, v in enumerate(vals)
+    ]
     merged.sort(key=lambda t: t[0])
-    merged = merged[:count]
-    dtype = np.result_type(*(vecs for _, vecs, _ in solved))
-    vecs = np.zeros((op.dimension, len(merged)), dtype=dtype)
-    for j, (_, b, c) in enumerate(merged):
-        _, block_vecs, idx = solved[b]
+    copies = [(v, b, c) for v, b, c in merged for _ in range(solved[b][3][c])][:count]
+    pairs = list(dict.fromkeys((b, c) for _, b, c in copies))
+    dtype = np.result_type(*(vecs for _, vecs, _, _ in solved))
+    vecs = np.zeros((op.dimension, len(pairs)), dtype=dtype)
+    for j, (b, c) in enumerate(pairs):
+        _, block_vecs, idx, _ = solved[b]
         vecs[idx, j] = block_vecs[:, c]
-    vals = np.array([v for v, _, _ in merged])
-    return vals, _residuals(op, vals, vecs)
+    vals = np.array([solved[b][0][c] for b, c in pairs])
+    residual = dict(zip(pairs, _residuals(op, vals, vecs)))
+    return np.array([v for v, _, _ in copies]), [residual[b, c] for _, b, c in copies]
 
 
 def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
     """The k smallest eigenvalues of a Hermitian operator, with residuals.
 
     Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float,
-    min(config.k, dimension) of them.  Solved charge block by block like
-    `spectral_gap`, with no kernel to widen past: each block gives its
-    lowest min(config.k, block dimension) pairs.  An ARPACK run that stops
-    before all its pairs converge raises SolverConvergenceError: the pairs
-    it did converge are not known to be the lowest, so they are never
-    returned.
+    min(config.k, dimension) of them.  Solved like `spectral_gap`, with no
+    kernel to widen past: each charge block gives its lowest
+    min(config.k, block dimension) pairs, or the central block of an
+    operator with S+ gives enough whole multiplets to expand to config.k
+    values.  An ARPACK run that stops before all its pairs converge raises
+    SolverConvergenceError: the pairs it did converge are not known to be
+    the lowest, so they are never returned.
     """
     config = config or DEFAULT_CONFIG
     solved, _ = _solve_blocks(op, config, -np.inf)
@@ -260,20 +356,22 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
 
 
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
-    """Smallest eigenvalue above kernel_tol, solved charge block by block.
+    """Smallest eigenvalue above kernel_tol, solved charge block by block,
+    or in the central block alone when the operator declares S+.
 
     Each block gives its lowest pairs (`_block_lowest`): by dense subset eigh
     when the operator's whole dimension is at most config.dense_limit, else
-    by ARPACK on the block's CSR.  gap = min over blocks, kernel_dim = sum
-    over blocks, and the report holds the lowest max(config.k, kernel_dim + 1)
-    eigenvalues merged across blocks, each block computing at least that
-    many minus the other blocks' kernels, with residuals of the eigenvectors
-    embedded back into the full space.
+    by ARPACK on the block's CSR.  kernel_dim = the sum of the multiplicities
+    (1 per pair, or 2S+1 per central pair) at or below kernel_tol, and the
+    report holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
+    repeated by its multiplicity, with residuals of the eigenvectors
+    embedded back into the full space.  gap = the first of them above the
+    kernel.
     """
     config = config or DEFAULT_CONFIG
     solved, method = _solve_blocks(op, config, kernel_tol)
-    kernel_dim = sum(int(np.sum(vals <= kernel_tol)) for vals, _, _ in solved)
-    if all(vals[-1] <= kernel_tol for vals, _, _ in solved):
+    kernel_dim = sum(int(w[vals <= kernel_tol].sum()) for vals, _, _, w in solved)
+    if all(vals[-1] <= kernel_tol for vals, _, _, _ in solved):
         raise GapUndefinedError(
             f"all {op.dimension} eigenvalues lie within kernel tolerance {kernel_tol}"
         )
