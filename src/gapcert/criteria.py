@@ -168,13 +168,12 @@ def subsystem_gap(
     side: int,
     periodic: bool = False,
     config: EigenSolveConfig | None = None,
-    kernel_tol: float = KERNEL_TOL,
 ) -> GapReport:
     """Gap report of the model on a D-dimensional grid of the given side."""
     H = build_hamiltonian(
         interaction, grid_edges(D, side, periodic=periodic), grid_sites(D, side)
     )
-    return spectral_gap(H, kernel_tol=kernel_tol, config=config)
+    return spectral_gap(H, config=config)
 
 
 @dataclass
@@ -210,7 +209,6 @@ def certify(
     theorem: str = "main",
     config: EigenSolveConfig | None = None,
     allow_nonrigorous_main: bool = False,
-    kernel_tol: float = KERNEL_TOL,
 ) -> CriterionResult:
     """Evaluate one finite-size criterion for a nearest-neighbor model.
 
@@ -241,7 +239,7 @@ def certify(
 
     gaps = {}
     for key, side in spec.sizes(n).items():
-        report = subsystem_gap(model, D, side, config=config, kernel_tol=kernel_tol)
+        report = subsystem_gap(model, D, side, config=config)
         if report.kernel_dim == 0:
             what = (
                 f"{side}-site open chain"
@@ -250,7 +248,7 @@ def certify(
             )
             raise ValueError(
                 f"{what} is frustrated (lowest eigenvalue "
-                f"{report.eigenvalues[0]:.3e} > {kernel_tol:.1e}); "
+                f"{report.eigenvalues[0]:.3e} > {KERNEL_TOL:.1e}); "
                 f"the criteria assume frustration-freeness"
             )
         gaps[key] = report.gap
@@ -437,7 +435,6 @@ def per_box_bound_witness(
     D: int,
     n: int,
     config: EigenSolveConfig | None = None,
-    kernel_tol: float = KERNEL_TOL,
 ):
     """Min eigenvalue of (H_B)^2 - gamma_B H_B on the open box of side n+1.
 
@@ -452,7 +449,7 @@ def per_box_bound_witness(
     )
     limit = (config or DEFAULT_CONFIG).dense_limit
     vals = scipy.linalg.eigvalsh(dense_matrix(H, limit=limit))
-    above = vals[vals > kernel_tol]
+    above = vals[vals > KERNEL_TOL]
     if above.size == 0:
         raise ValueError("box Hamiltonian has no eigenvalue above the kernel tolerance")
     gamma = float(above.min())

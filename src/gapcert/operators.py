@@ -295,9 +295,6 @@ class ManyBodyOperator:
             outr += np.moveaxis(t, tuple(range(k)), pos)
         return out
 
-    def __matmul__(self, v):
-        return self.apply(v)
-
 
 class CompositeOperator:
     """Real linear combination of products of operator factors.
@@ -352,9 +349,6 @@ class CompositeOperator:
             )
         return self._csr
 
-    def __matmul__(self, v):
-        return self.apply(v)
-
     def __add__(self, other):
         other = CompositeOperator.from_operator(other)
         if other.dimension != self.dimension:
@@ -398,22 +392,13 @@ def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyO
 
 
 def _anticommutator(term1, term2, d: int):
-    """{h1, h2} of two local terms as one matrix on the union of their sites.
-
-    Each factor is widened by np.kron and its tensor axes transposed into the
-    union's site order; the product is taken before any many-body embedding.
-    """
+    """{h1, h2} of two local terms as one matrix on the union of their sites,
+    each factor placed there by `_embedded_term` before the product."""
     union = tuple(dict.fromkeys(term1[0] + term2[0]))
-    k = len(union)
-
-    def on_union(sites_of_term, M):
-        order = [union.index(s) for s in sites_of_term]
-        order += [i for i in range(k) if i not in order]
-        T = np.kron(M, np.eye(d ** (k - len(sites_of_term)))).reshape((d,) * (2 * k))
-        axes = list(np.argsort(order))
-        return T.transpose(axes + [k + a for a in axes]).reshape(d**k, d**k)
-
-    A, B = on_union(*term1), on_union(*term2)
+    A, B = (
+        _embedded_term(M, [union.index(s) for s in sites], len(union), d).toarray()
+        for sites, M in (term1, term2)
+    )
     return union, A @ B + B @ A
 
 

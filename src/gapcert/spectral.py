@@ -11,29 +11,26 @@ resolve the clustered near-zero spectra frustration-free Hamiltonians
 produce.  Residuals come from the matrix-free `apply`, a path independent
 of the CSR assembly.
 
-There is one solve path, shared by `spectral_gap`, `lowest_eigenvalues`
-and the inequality witness built on it.  An operator that declares
-per-site charges (both built-in models conserve total Sz) is solved one
-total-charge block at a time: each block is the principal submatrix of
-the CSR on the basis indices of one total charge; an operator without
-charges is one block.  The dense limit still compares the whole dimension,
-so it picks the path for every block; on the iterative path a block too
-small for ARPACK to reach past its kernel, or for the k asked of it, is
-solved by dense `eigh`.  The lowest pairs are merged across blocks and
-their eigenvectors embedded back into the full space.  gap = min over
-blocks and kernel_dim = sum over blocks.
-
-An operator that also declares the single-site raising operator S+ of an
-SU(2) symmetry (both built-ins do; model files do not) is solved in one
-block only: the central one, total S^z = M0 with M0 = 0, or 1/2 when 0
-cannot occur.  Every multiplet of total spin S has exactly one member
-there, and the other blocks repeat its eigenvalue.  So each central
-eigenvalue is counted 2S+1 times, with S read off the Gram matrix of S+
-applied to its cluster of (numerically) degenerate eigenvectors:
-|S+ v|^2 = S(S+1) - M0(M0+1).  A cluster that the block's k may have cut
-is left out until k is widened past it, and a 2S+1 that is not an integer
-is a SolverConvergenceError.  Each copy carries the residual of its
-central eigenvector.
+There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalues`
+and the inequality witness built on it.  `_sectors` picks the blocks, each
+a principal submatrix of the CSR, and a weight for each eigenvalue:
+- no charges: the whole operator is one block, each eigenvalue weighs 1;
+- per-site charges (both built-ins conserve total S^z) but no S+: every
+  total-charge block, each eigenvalue weighs 1;
+- charges and the single-site raising operator S+ of an SU(2) symmetry
+  (both built-ins; model files carry no S+): only the central block,
+  total S^z = M0 with M0 = 0, or 1/2 when 0 cannot occur.  Each multiplet
+  of total spin S has one member there, so each central eigenvalue weighs
+  2S+1, with S read off the Gram matrix of S+ on its cluster of
+  (numerically) degenerate eigenvectors: |S+ v|^2 = S(S+1) - M0(M0+1).
+  A cluster that k may have cut waits until k is widened past it, and a
+  2S+1 that is not an integer is a SolverConvergenceError.
+k widens until a block's weights reach max(k, kernel + 1) or the block is
+exhausted.  The whole dimension against the dense limit picks the path of
+every block; an iterative block too small for ARPACK to reach far enough
+is solved by dense `eigh`.  The lowest values over all blocks are merged,
+each repeated by its weight with the residual of its eigenvector embedded
+back into the full space.
 
 The kernel dimension is exact on the dense path, where every cluster is
 whole.  On the iterative path it is exact when ARPACK resolves every
@@ -41,13 +38,14 @@ degenerate kernel vector of each block it solves: a ferro central block
 has one (the fully polarized multiplet), an AKLT open chain's has two
 (S = 0 and S = 1).  Where ARPACK misses one, the count is an estimate,
 even when the gap itself is converged well past the requested tolerance.
-On the one-sector path the guard on 2S+1 refuses a cluster whose vectors
+On the central block the guard on 2S+1 refuses a cluster whose vectors
 mix the members of degenerate multiplets, but not one that misses a whole
 multiplet.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +58,15 @@ from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, ManyBodyOp
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
 MULTIPLICITY_TOL = 1e-6  # largest distance of a computed 2S+1 from an integer
+RESIDUAL_BATCH = 4  # columns per matvec in _residuals
 
 
 class SolverConvergenceError(RuntimeError):
     """Eigensolver failed to converge.
 
-    `partial` is always empty: pairs from a run that stopped early are not
-    known to be the lowest, so none of them is ever handed back as a result.
+    Pairs from a run that stopped early are not known to be the lowest, so
+    none of them is ever handed back as a result.
     """
-
-    def __init__(self, message):
-        super().__init__(message)
-        self.partial = []
 
 
 class GapUndefinedError(RuntimeError):
@@ -82,15 +77,14 @@ class GapUndefinedError(RuntimeError):
 class EigenSolveConfig:
     """Eigensolver knobs; identical config + seed gives identical output.
 
-    tol = 0 means machine precision for the iterative path.  dense_limit is
-    the dimension at or below which the dense path is used (the operator's
-    whole dimension, also when it is solved by charge blocks), and the
-    largest matrix a dense-only witness materializes.  max_k caps the
-    adaptive escalation of an ARPACK solve's k in spectral_gap.
+    dense_limit is the dimension at or below which the dense path is used
+    (the operator's whole dimension, also when it is solved by blocks), and
+    the largest matrix a dense-only witness materializes.  max_k caps the
+    adaptive escalation of an ARPACK solve's k, which converges to machine
+    precision (ARPACK tol = 0).
     """
 
     k: int = 8
-    tol: float = 0.0
     max_iter: int | None = None
     seed: int = 7
     dense_limit: int = DEFAULT_DENSE_LIMIT
@@ -99,8 +93,6 @@ class EigenSolveConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -116,14 +108,18 @@ class GapReport:
     residuals: list
     kernel_dim: int
     gap: float
-    kernel_tol: float
     method: str
     k_used: int
 
 
 def _residuals(op, vals, vecs):
-    """||op v - lam v|| of each column v, from one batched matvec."""
-    return np.linalg.norm(op.apply(vecs) - vecs * vals, axis=0).tolist()
+    """||op v - lam v|| of each column v, RESIDUAL_BATCH columns per matvec
+    (each term's tensordot copies its whole input)."""
+    out = []
+    for j in range(0, vecs.shape[1], RESIDUAL_BATCH):
+        V, lam = vecs[:, j : j + RESIDUAL_BATCH], vals[j : j + RESIDUAL_BATCH]
+        out += np.linalg.norm(op.apply(V) - V * lam, axis=0).tolist()
+    return out
 
 
 def _dense_lowest(A, k: int):
@@ -152,7 +148,7 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
             v0=v0,
             ncv=min(dim, max(2 * k + 16, 52)),
             maxiter=maxiter,
-            tol=config.tol,
+            tol=0,
         )
     except ArpackNoConvergence as exc:
         # ARPACK's nconv counts converged Ritz pairs, not the lowest ones
@@ -187,57 +183,6 @@ def _charge_labels(op):
     return labels
 
 
-def _charge_blocks(op):
-    """[(block CSR, basis indices of the block)] by ascending total charge.
-
-    Each block is the principal submatrix on the indices of one label, in
-    ascending index order.  One block (all indices) when the operator
-    declares no charges.
-    """
-    A = op.sparse()
-    if getattr(op, "charges", None) is None:
-        return [(A, slice(None))]
-    labels = _charge_labels(op)
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return [(A[idx][:, idx], idx) for idx in np.split(order, cuts)]
-
-
-def _block_lowest(B, config: EigenSolveConfig, iterative: bool, enough):
-    """Lowest pairs of one block: at least min(dim, config.k) of them,
-    widened by doubling until `enough(vals, vecs)` holds or the block is
-    exhausted.
-
-    On the iterative path ARPACK runs while its k fits under dim - 2 and
-    config.max_k; a block too small for ARPACK to reach far enough is
-    solved by dense eigh instead.
-    """
-    n = B.shape[0]
-    arpack = iterative and max(config.k, 2) <= n - 2
-    k = max(config.k, 2) if arpack else min(config.k, n)
-    dense = None
-    while True:
-        if arpack:
-            vals, vecs = _arpack_lowest(B, config, k)
-        else:
-            if dense is None:
-                dense = B.toarray()
-            vals, vecs = _dense_lowest(dense, k)
-        if enough(vals, vecs) or len(vals) == n:
-            return vals, vecs
-        if not arpack:
-            k = min(2 * k, n)
-        elif k < min(config.max_k, n - 2):
-            k = min(2 * k, config.max_k, n - 2)
-        elif n - 2 < config.max_k:
-            arpack, k = False, n
-        else:
-            raise GapUndefinedError(
-                f"the lowest {k} eigenvalues of a {n}-state block do not reach "
-                f"past its kernel (k={k}, max_k={config.max_k})"
-            )
-
-
 def _multiplicities(raising, m0: float, idx, vals, vecs, exhausted: bool):
     """2S+1 of each central-block pair in the complete clusters of `vals`.
 
@@ -270,67 +215,105 @@ def _multiplicities(raising, m0: float, idx, vals, vecs, exhausted: bool):
     return np.array(weights, dtype=int)
 
 
-def _central_lowest(op, config: EigenSolveConfig, kernel_tol: float, iterative: bool):
-    """(vals, vecs, basis indices, multiplicities) of the central block.
+def _unit_weights(vals, vecs, exhausted: bool):
+    """Every pair of a block counts once."""
+    return np.ones(len(vals), dtype=int)
 
-    The central block is total S^z = M0, the smallest M0 >= 0 present (0,
-    or 1/2 when 0 cannot occur); with the site spins all integer or all
-    half-integer, every multiplet has exactly one member there.  Widened
-    until its complete clusters expand to max(config.k, kernel + 1) values.
+
+def _sectors(op):
+    """[(block CSR, basis indices, weigh)] of the blocks to solve.
+
+    No charges: the operator's own CSR, unit weights.  Charges without S+:
+    each total-charge block (ascending charge, indices in ascending order),
+    unit weights.  Charges with S+: the central block, the indices of the
+    smallest non-negative label `low`, weighed by `_multiplicities`; M0 =
+    low / step, with step the charge difference across any nonzero of S+.
     """
+    A = op.sparse()
+    if getattr(op, "charges", None) is None:
+        return [(A, slice(None), _unit_weights)]
     labels = _charge_labels(op)
-    idx = np.flatnonzero(labels == labels[labels >= 0].min())
-    B = op.sparse()[idx][:, idx]
     Sp = op.raising
-    sz = np.diag(Sp @ Sp.conj().T - Sp.conj().T @ Sp).real / 2
-    m0 = float(sz[list(np.unravel_index(idx[0], (op.d,) * len(op.site_list)))].sum())
+    if Sp is None:
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        return [(A[idx][:, idx], idx, _unit_weights) for idx in np.split(order, cuts)]
+    low = labels[labels >= 0].min()
+    a, b = (int(i[0]) for i in np.nonzero(Sp))
+    idx = np.flatnonzero(labels == low)
     raising = ManyBodyOperator(op.site_list, op.d, [((s,), Sp) for s in op.site_list])
-    weights = None
+    m0 = low / (op.charges[a] - op.charges[b])
+    return [(A[idx][:, idx], idx, functools.partial(_multiplicities, raising, m0, idx))]
 
-    def enough(vals, vecs):
-        nonlocal weights
-        weights = _multiplicities(raising, m0, idx, vals, vecs, len(vals) == len(idx))
-        kernel = weights[vals[: len(weights)] <= kernel_tol].sum()
-        return weights.sum() >= max(config.k, kernel + 1)
 
-    vals, vecs = _block_lowest(B, config, iterative, enough)
-    return vals[: len(weights)], vecs[:, : len(weights)], idx, weights
+def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):
+    """(vals, vecs, weights) of the lowest pairs of one block.
+
+    `weigh(vals, vecs, exhausted)` gives the weights of vals[:len(weights)].
+    Starting from min(dim, config.k) pairs, k doubles until the weighed
+    pairs expand to max(config.k, kernel + 1) values, kernel being their
+    weight at or below kernel_tol, or the block is exhausted.  On the
+    iterative path ARPACK runs while its k fits under dim - 2 and
+    config.max_k; a block too small for ARPACK to reach far enough is
+    solved by dense eigh instead.
+    """
+    n = B.shape[0]
+    arpack = iterative and max(config.k, 2) <= n - 2
+    k = max(config.k, 2) if arpack else min(config.k, n)
+    dense = None
+    while True:
+        if arpack:
+            vals, vecs = _arpack_lowest(B, config, k)
+        else:
+            if dense is None:
+                dense = B.toarray()
+            vals, vecs = _dense_lowest(dense, k)
+        exhausted = len(vals) == n
+        w = weigh(vals, vecs, exhausted)
+        kernel = w[vals[: len(w)] <= kernel_tol].sum()
+        if w.sum() >= max(config.k, kernel + 1) or exhausted:
+            return vals[: len(w)], vecs[:, : len(w)], w
+        if not arpack:
+            k = min(2 * k, n)
+        elif k < min(config.max_k, n - 2):
+            k = min(2 * k, config.max_k, n - 2)
+        elif n - 2 < config.max_k:
+            arpack, k = False, n
+        else:
+            raise GapUndefinedError(
+                f"the lowest {k} eigenvalues of a {n}-state block do not reach "
+                f"past its kernel (k={k}, max_k={config.max_k})"
+            )
 
 
 def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
-    """Lowest pairs as ([(vals, vecs, basis indices, multiplicities)], method).
-
-    An operator that declares S+ is one entry, its central block; any other
-    gives one entry per charge block, each pair of multiplicity 1, widened
-    until a value lies above kernel_tol.  The path is one for all blocks:
-    "dense" when the operator's whole dimension is at most
-    config.dense_limit, else "iterative".
+    """Lowest pairs as ([(vals, vecs, weights, basis indices)], method), one
+    entry per block of `_sectors`.  The path is one for all blocks: "dense"
+    when the operator's whole dimension is at most config.dense_limit, else
+    "iterative".
     """
     iterative = op.dimension > config.dense_limit
-    if getattr(op, "raising", None) is not None:
-        solved = [_central_lowest(op, config, kernel_tol, iterative)]
-    else:
-        solved = []
-        for B, idx in _charge_blocks(op):
-            vals, vecs = _block_lowest(B, config, iterative, lambda v, _: v[-1] > kernel_tol)
-            solved.append((vals, vecs, idx, np.ones(len(vals), dtype=int)))
+    solved = [
+        (*_block_lowest(B, config, iterative, kernel_tol, weigh), idx)
+        for B, idx, weigh in _sectors(op)
+    ]
     return solved, "iterative" if iterative else "dense"
 
 
 def _merge_lowest(op, solved, count: int):
     """The lowest `count` eigenvalues over all solved blocks, ascending, each
-    repeated by its multiplicity, and for each copy the residual of its
+    repeated by its weight, and for each copy the residual of its
     eigenvector embedded back into the full space."""
     merged = [
         (v, b, c) for b, (vals, _, _, _) in enumerate(solved) for c, v in enumerate(vals)
     ]
     merged.sort(key=lambda t: t[0])
-    copies = [(v, b, c) for v, b, c in merged for _ in range(solved[b][3][c])][:count]
+    copies = [(v, b, c) for v, b, c in merged for _ in range(solved[b][2][c])][:count]
     pairs = list(dict.fromkeys((b, c) for _, b, c in copies))
     dtype = np.result_type(*(vecs for _, vecs, _, _ in solved))
     vecs = np.zeros((op.dimension, len(pairs)), dtype=dtype)
     for j, (b, c) in enumerate(pairs):
-        _, block_vecs, idx, _ = solved[b]
+        _, block_vecs, _, idx = solved[b]
         vecs[idx, j] = block_vecs[:, c]
     vals = np.array([solved[b][0][c] for b, c in pairs])
     residual = dict(zip(pairs, _residuals(op, vals, vecs)))
@@ -341,36 +324,29 @@ def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
     """The k smallest eigenvalues of a Hermitian operator, with residuals.
 
     Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float,
-    min(config.k, dimension) of them.  Solved like `spectral_gap`, with no
-    kernel to widen past: each charge block gives its lowest
-    min(config.k, block dimension) pairs, or the central block of an
-    operator with S+ gives enough whole multiplets to expand to config.k
-    values.  An ARPACK run that stops before all its pairs converge raises
-    SolverConvergenceError: the pairs it did converge are not known to be
-    the lowest, so they are never returned.
+    min(config.k, dimension) of them: the report of `spectral_gap` with no
+    kernel (kernel_tol = -inf).  An ARPACK run that stops before all its
+    pairs converge raises SolverConvergenceError: the pairs it did converge
+    are not known to be the lowest, so they are never returned.
     """
-    config = config or DEFAULT_CONFIG
-    solved, _ = _solve_blocks(op, config, -np.inf)
-    vals, residuals = _merge_lowest(op, solved, config.k)
-    return list(zip(vals.tolist(), residuals))
+    report = spectral_gap(op, -np.inf, config)
+    return list(zip(report.eigenvalues, report.residuals))
 
 
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
-    """Smallest eigenvalue above kernel_tol, solved charge block by block,
-    or in the central block alone when the operator declares S+.
+    """Smallest eigenvalue above kernel_tol, over the blocks of `_sectors`.
 
     Each block gives its lowest pairs (`_block_lowest`): by dense subset eigh
     when the operator's whole dimension is at most config.dense_limit, else
-    by ARPACK on the block's CSR.  kernel_dim = the sum of the multiplicities
-    (1 per pair, or 2S+1 per central pair) at or below kernel_tol, and the
-    report holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
-    repeated by its multiplicity, with residuals of the eigenvectors
-    embedded back into the full space.  gap = the first of them above the
-    kernel.
+    by ARPACK on the block's CSR.  kernel_dim = the summed weight (1 per
+    pair, or 2S+1 per central pair) at or below kernel_tol, and the report
+    holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
+    repeated by its weight, with residuals of the eigenvectors embedded
+    back into the full space.  gap = the first of them above the kernel.
     """
     config = config or DEFAULT_CONFIG
     solved, method = _solve_blocks(op, config, kernel_tol)
-    kernel_dim = sum(int(w[vals <= kernel_tol].sum()) for vals, _, _, w in solved)
+    kernel_dim = sum(int(w[vals <= kernel_tol].sum()) for vals, _, w, _ in solved)
     if all(vals[-1] <= kernel_tol for vals, _, _, _ in solved):
         raise GapUndefinedError(
             f"all {op.dimension} eigenvalues lie within kernel tolerance {kernel_tol}"
@@ -381,7 +357,6 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
         residuals=residuals,
         kernel_dim=kernel_dim,
         gap=float(vals[kernel_dim]),
-        kernel_tol=kernel_tol,
         method=method,
         k_used=len(vals),
     )

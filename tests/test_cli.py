@@ -7,7 +7,7 @@ import pytest
 from gapcert import cli
 from gapcert.cli import CSV_HEADER, build_parser, cs_witnesses, main
 from gapcert.criteria import threshold_main
-from gapcert.models import save_model
+from gapcert.models import aklt, heisenberg_ferro, random_projection, save_model
 from gapcert.operators import NNInteraction
 from gapcert.spectral import EigenSolveConfig
 
@@ -643,6 +643,141 @@ def test_verify_output_golden(capsys, case):
         if want.endswith(" "):
             assert got.startswith(want)
             assert abs(float(got[len(want):].split()[0])) < 1e-12
+        else:
+            assert got == want
+
+
+# Full stdout of `gap` on each solve path: built-in models (central S^z
+# block, weighed by multiplet size), model files (no S+, so every charge
+# block), and a random projection saved to a file (no charges, one block),
+# each dense and on the iterative path.  Model files are named by their
+# stem.  In `eigenvalues:` and `residuals:` a "~" is a roundoff-sized entry
+# (|value| < 1e-12), matched by size; every other token is matched exactly.
+GAP_GOLDEN = {
+    "heisenberg-ferro --n 6": [
+        "model: heisenberg-ferro (d=2)",
+        "geometry: D=1, n=6, side 7, open, 128 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ ~ ~ 0.0990311320976",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 8",
+        "frustration_free: true",
+        "gap: 0.0990311320976",
+        "method: dense (k=9)",
+    ],
+    "heisenberg-ferro --n 6 --dense-limit 1": [
+        "model: heisenberg-ferro (d=2)",
+        "geometry: D=1, n=6, side 7, open, 128 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ ~ ~ 0.0990311320976",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 8",
+        "frustration_free: true",
+        "gap: 0.0990311320976",
+        "method: iterative (k=9)",
+    ],
+    "aklt --n 5": [
+        "model: aklt (d=3)",
+        "geometry: D=1, n=5, side 6, open, 729 states",
+        "eigenvalues: ~ ~ ~ ~ 0.39845123178 0.39845123178 0.39845123178 0.39845123178",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 4",
+        "frustration_free: true",
+        "gap: 0.39845123178",
+        "method: dense (k=8)",
+    ],
+    "aklt --n 5 --dense-limit 1": [
+        "model: aklt (d=3)",
+        "geometry: D=1, n=5, side 6, open, 729 states",
+        "eigenvalues: ~ ~ ~ ~ 0.39845123178 0.39845123178 0.39845123178 0.39845123178",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 4",
+        "frustration_free: true",
+        "gap: 0.39845123178",
+        "method: iterative (k=8)",
+    ],
+    "ferro.model --n 6": [
+        "model: ferro (d=2)",
+        "geometry: D=1, n=6, side 7, open, 128 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ ~ ~ 0.0990311320976",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 8",
+        "frustration_free: true",
+        "gap: 0.0990311320976",
+        "method: dense (k=9)",
+    ],
+    "ferro.model --n 6 --dense-limit 1": [
+        "model: ferro (d=2)",
+        "geometry: D=1, n=6, side 7, open, 128 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ ~ ~ 0.0990311320976",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 8",
+        "frustration_free: true",
+        "gap: 0.0990311320976",
+        "method: iterative (k=9)",
+    ],
+    "aklt.model --n 4": [
+        "model: aklt (d=3)",
+        "geometry: D=1, n=4, side 5, open, 243 states",
+        "eigenvalues: ~ ~ ~ ~ 0.413239805949 0.413239805949 0.413239805949 0.413239805949",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 4",
+        "frustration_free: true",
+        "gap: 0.413239805949",
+        "method: dense (k=8)",
+    ],
+    "aklt.model --n 4 --dense-limit 1": [
+        "model: aklt (d=3)",
+        "geometry: D=1, n=4, side 5, open, 243 states",
+        "eigenvalues: ~ ~ ~ ~ 0.413239805949 0.413239805949 0.413239805949 0.413239805949",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 4",
+        "frustration_free: true",
+        "gap: 0.413239805949",
+        "method: iterative (k=8)",
+    ],
+    "random.model --n 4": [
+        "model: random (d=2)",
+        "geometry: D=1, n=4, side 5, open, 32 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ 0.164853248182 0.187413306487",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 6",
+        "frustration_free: true",
+        "gap: 0.164853248182",
+        "method: dense (k=8)",
+    ],
+    "random.model --n 4 --dense-limit 1": [
+        "model: random (d=2)",
+        "geometry: D=1, n=4, side 5, open, 32 states",
+        "eigenvalues: ~ ~ ~ ~ ~ ~ 0.164853248182 0.187413306487",
+        "residuals: ~ ~ ~ ~ ~ ~ ~ ~",
+        "kernel_dim: 6",
+        "frustration_free: true",
+        "gap: 0.164853248182",
+        "method: iterative (k=8)",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAP_GOLDEN))
+def test_gap_output_golden(capsys, tmp_path, case):
+    save_model(heisenberg_ferro(), tmp_path / "ferro.model")
+    save_model(aklt(), tmp_path / "aklt.model")
+    save_model(random_projection(2, 1, 7), tmp_path / "random.model")
+    model, *rest = case.split()
+    if model.endswith(".model"):
+        model = str(tmp_path / model)
+    rc, out, err = run(capsys, "gap", "--model", model, *rest)
+    assert rc == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(GAP_GOLDEN[case])
+    for got, want in zip(lines, GAP_GOLDEN[case]):
+        if want.startswith(("eigenvalues: ", "residuals: ")):
+            got_key, got_vals = got.split(": ")
+            want_key, want_vals = want.split(": ")
+            assert got_key == want_key
+            assert len(got_vals.split()) == len(want_vals.split())
+            for g, w in zip(got_vals.split(), want_vals.split()):
+                assert abs(float(g)) < 1e-12 if w == "~" else g == w
         else:
             assert got == want
 

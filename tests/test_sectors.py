@@ -13,7 +13,7 @@ from gapcert.operators import ManyBodyOperator, NNInteraction, build_hamiltonian
 from gapcert.spectral import (
     EigenSolveConfig,
     GapUndefinedError,
-    _charge_blocks,
+    _sectors,
     spectral_gap,
 )
 
@@ -73,15 +73,16 @@ class TestSectoredMatchesOneBlock:
 
 class TestBlocks:
     def test_ferro_blocks_are_sz_sectors(self):
+        # charges without S+, so every block is solved
         H = hamiltonian(heisenberg_ferro(), 1, 6, False)
-        blocks = _charge_blocks(H)
-        assert [B.shape[0] for B, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
-        covered = np.sort(np.concatenate([idx for _, idx in blocks]))
+        blocks = _sectors(ManyBodyOperator(H.site_list, H.d, H.terms, H.charges))
+        assert [B.shape[0] for B, _, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
+        covered = np.sort(np.concatenate([idx for _, idx, _ in blocks]))
         assert (covered == np.arange(H.dimension)).all()
 
     def test_no_charges_is_one_block(self):
         H = one_block(hamiltonian(heisenberg_ferro(), 1, 4, False))
-        assert [B.shape[0] for B, _ in _charge_blocks(H)] == [16]
+        assert [B.shape[0] for B, _, _ in _sectors(H)] == [16]
 
     def test_all_kernel_blocks_undefined(self):
         # every block is pure kernel, so there is no gap anywhere

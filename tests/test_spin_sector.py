@@ -14,8 +14,8 @@ from gapcert.operators import ManyBodyOperator, NNInteraction, build_hamiltonian
 from gapcert.spectral import (
     KERNEL_TOL,
     EigenSolveConfig,
-    _central_lowest,
     _residuals,
+    _solve_blocks,
     lowest_eigenvalues,
     spectral_gap,
 )
@@ -86,7 +86,7 @@ class TestOneSector:
 def test_aklt_open_kernel_is_singlet_plus_triplet():
     # the open AKLT chain's four ground states are S = 0 and S = 1
     H = chain(aklt(), 6)
-    vals, _, _, weights = _central_lowest(H, EigenSolveConfig(), KERNEL_TOL, False)
+    [(vals, _, weights, _)], _ = _solve_blocks(H, EigenSolveConfig(), KERNEL_TOL)
     assert sorted(weights[vals <= KERNEL_TOL].tolist()) == [1, 3]
     assert spectral_gap(H).kernel_dim == 4
 
