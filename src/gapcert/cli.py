@@ -332,7 +332,7 @@ def _verify_coarse_grain(cfg: argparse.Namespace) -> int:
         print(line)
     if spec.R == 1:
         exact = True
-        for cls, shape in zip(cg.classes, spec.shapes):
+        for cls in cg.classes:
             if cls.n_terms != 1 or not np.array_equal(
                 cls.matrix(limit=dense_limit), cls.assigned[0][0].projection
             ):

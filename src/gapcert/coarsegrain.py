@@ -3,15 +3,17 @@
 A finite-range model is a local dimension d, an odd range R, and a set of
 interaction shapes: offset sets S containing the origin, each carrying a
 projection on (C^d)^{|S|} (tensor factors in lexicographic offset order).
-Space is partitioned into cubes C(y) of side R centered at y in R*Z^3; a
-translated term P_{x+S} touches at most two cubes per axis, so its covering
-cube block is a sub-block of a 2x2x2 cluster.  Grouping translated terms by
-the spanned axes of their cover gives four class kinds -- on-site, face,
-edge-adjacent, corner-adjacent -- and the coarse interaction of a class is
-the projection onto the orthogonal complement of the joint kernel of all
-terms assigned to its block.  That construction preserves ground spaces
-exactly: on any cube region, the kernels of the original and coarse-grained
-Hamiltonians coincide.
+Space is partitioned into cubes C(y) of side R centered at y in R*Z^3; the
+sites of a run of cubes are listed cube-major, lexicographically within each
+cube.  The one range rule is that every shape spans at most R per axis, which
+`coarse_grain` checks: a translated term P_{x+S} then touches at most two
+cubes per axis, so its covering cube block is a sub-block of a 2x2x2
+cluster.  Grouping translated terms by the spanned axes of their cover gives
+four class kinds -- on-site, face, edge-adjacent, corner-adjacent -- and the
+coarse interaction of a class is the projection onto the orthogonal
+complement of the joint kernel of all terms assigned to its block.  That
+construction preserves ground spaces exactly: on any cube region, the
+kernels of the original and coarse-grained Hamiltonians coincide.
 
 Class matrices act on d^{R^3}-dimensional metaspins and are materialized
 lazily: at R=3, d=2 a face block already has dimension 2^54, far beyond
@@ -35,8 +37,8 @@ from gapcert.operators import (
     projection_check,
     projection_defects,
 )
+from gapcert.spectral import KERNEL_TOL
 
-KERNEL_CUT = 1e-8
 SUBSPACE_TOL = 1e-9
 
 Vec3 = tuple
@@ -81,20 +83,6 @@ class InteractionShape:
         return max(vals) - min(vals)
 
 
-def diam1(shape) -> int:
-    """Maximum pairwise l1 distance over an offset set (or a shape)."""
-    offsets = shape.offsets if isinstance(shape, InteractionShape) else [
-        _as_vec3(o) for o in shape
-    ]
-    if not offsets:
-        raise ValueError("diam1 of an empty offset set")
-    return max(
-        sum(abs(a[i] - b[i]) for i in range(3))
-        for a in offsets
-        for b in offsets
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteRangeSpec:
     """Local dimension, odd range R, and the interaction shapes."""
@@ -125,68 +113,42 @@ class FiniteRangeSpec:
         object.__setattr__(self, "shapes", shapes)
 
 
-def validate_range(spec: FiniteRangeSpec) -> bool:
-    """True iff every shape has l1 diameter strictly below R."""
-    return all(diam1(s) < spec.R for s in spec.shapes)
-
-
 def cube_of(site, R: int) -> Vec3:
     """Index b of the side-R cube C(R*b) containing the site."""
     h = (R - 1) // 2
     return tuple((c + h) // R for c in _as_vec3(site))
 
 
-@dataclass(frozen=True)
-class MetaCube:
-    """The cube C(center) of R^3 sites, center in R*Z^3."""
+def _place(x, offsets):
+    """The translate x + offsets, in the order of `offsets`."""
+    return tuple(tuple(a + b for a, b in zip(x, o)) for o in offsets)
 
-    center: Vec3
-    R: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec3(self.center))
-        if self.R < 1 or self.R % 2 == 0:
-            raise ValueError(f"cube side must be odd and positive, got {self.R}")
-
-    @property
-    def sites(self):
-        h = (self.R - 1) // 2
-        return [
-            tuple(c + a for c, a in zip(self.center, off))
-            for off in itertools.product(range(-h, h + 1), repeat=3)
-        ]
+def _translates(offsets, region):
+    """The points x of `region`, in its order, with x + offsets inside it."""
+    inside = set(region)
+    return [x for x in region if inside.issuperset(_place(x, offsets))]
 
 
 def _cube_sites(cubes, R: int):
     """Sites of the cubes C(R*b), b in `cubes`, cube-major in the given order."""
-    return [s for b in cubes for s in MetaCube(tuple(R * c for c in b), R).sites]
+    h = (R - 1) // 2
+    cube = tuple(itertools.product(range(-h, h + 1), repeat=3))
+    return [s for b in cubes for s in _place(tuple(R * c for c in b), cube)]
 
 
-def _region_terms(spec: FiniteRangeSpec, region):
-    """(sites, projection) of every translate x+S lying inside the region."""
-    inside = set(region)
-    terms = []
-    for x in region:
-        for shape in spec.shapes:
-            sites = tuple(
-                tuple(x[i] + o[i] for i in range(3)) for o in shape.offsets
-            )
-            if all(s in inside for s in sites):
-                terms.append((sites, shape.projection))
-    return terms
+def region_hamiltonian(spec: FiniteRangeSpec, cubes) -> ManyBodyOperator:
+    """Open-boundary Hamiltonian on the union of the cubes C(R*b), b in `cubes`.
 
-
-def build_Cn_region(n: int, R: int):
-    """Sites of the union of the (n+1)^3 cubes C(R*b), b in [0, n]^3."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sorted(_cube_sites(itertools.product(range(n + 1), repeat=3), R))
-
-
-def build_HCn(spec: FiniteRangeSpec, n: int) -> ManyBodyOperator:
-    """Open-boundary Hamiltonian on C_n: all translates x+S inside the region."""
-    region = build_Cn_region(n, spec.R)
-    return ManyBodyOperator(region, spec.d, _region_terms(spec, region))
+    Its terms are every translate x+S lying inside the region, shape by shape.
+    """
+    region = _cube_sites(cubes, spec.R)
+    terms = [
+        (_place(x, shape.offsets), shape.projection)
+        for shape in spec.shapes
+        for x in _translates(shape.offsets, region)
+    ]
+    return ManyBodyOperator(region, spec.d, terms)
 
 
 class CoarseKind(Enum):
@@ -210,10 +172,11 @@ class CoarseClass:
 
     `block` lists the covering cubes as relative cube indices in {0,1}^3
     (lex order); `assigned` holds (shape, anchor) pairs with the anchor in
-    block coordinates, where the base cube occupies [0, R-1]^3.  The matrix
-    is the projection onto the complement of the joint kernel of the
-    assigned terms on the block, materialized on demand because its
-    dimension d^{R^3 * 2^k} is usually far beyond dense limits.
+    the centred frame of `_cube_sites`, where the base cube C(0) occupies
+    [-h, h]^3 for h = (R-1)/2.  The matrix is the projection onto the
+    complement of the joint kernel of the assigned terms on the block,
+    materialized on demand because its dimension d^{R^3 * 2^k} is usually
+    far beyond dense limits.
     """
 
     kind: CoarseKind
@@ -236,24 +199,14 @@ class CoarseClass:
     def block_dim(self) -> int:
         return self.d ** (self.n_cubes * self.R**3)
 
-    def block_sites(self):
-        """Block sites in metaspin order: cube-major, lex within each cube."""
-        sites = []
-        for c in self.block:
-            for q in itertools.product(range(self.R), repeat=3):
-                sites.append(tuple(self.R * c[i] + q[i] for i in range(3)))
-        return sites
-
     def matrix(self, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
-        sites = self.block_sites()
-        terms = []
-        for shape, anchor in self.assigned:
-            term_sites = tuple(
-                tuple(anchor[i] + o[i] for i in range(3)) for o in shape.offsets
-            )
-            terms.append((term_sites, shape.projection))
+        sites = _cube_sites(self.block, self.R)
+        terms = [
+            (_place(anchor, shape.offsets), shape.projection)
+            for shape, anchor in self.assigned
+        ]
         op = ManyBodyOperator(sites, self.d, terms)
         H = dense_matrix(op, limit=limit)
         if len(self.assigned) == 1 and self.assigned[0][0].n_sites == len(sites):
@@ -284,9 +237,6 @@ class CoarseGrainedSpec:
     def n_cell_terms(self) -> int:
         return sum(c.n_terms for c in self.classes)
 
-    def by_kind(self, kind: CoarseKind):
-        return [c for c in self.classes if c.kind is kind]
-
 
 def coarse_grain(spec: FiniteRangeSpec) -> CoarseGrainedSpec:
     """Partition one unit cell of translated terms into coarse classes.
@@ -298,7 +248,6 @@ def coarse_grain(spec: FiniteRangeSpec) -> CoarseGrainedSpec:
     assigned to exactly one class.
     """
     R = spec.R
-    h = (R - 1) // 2
     for shape in spec.shapes:
         for a in range(3):
             if shape.span(a) > R:
@@ -309,16 +258,14 @@ def coarse_grain(spec: FiniteRangeSpec) -> CoarseGrainedSpec:
     buckets = {}
     n_anchors = 0
     for shape in spec.shapes:
-        for p in itertools.product(range(R), repeat=3):
+        for x in _cube_sites([(0, 0, 0)], R):
             n_anchors += 1
-            x = tuple(p[i] - h for i in range(3))
-            sites = [tuple(x[i] + o[i] for i in range(3)) for o in shape.offsets]
+            sites = _place(x, shape.offsets)
             cube_vals = [{cube_of(s, R)[a] for s in sites} for a in range(3)]
             assert all(len(v) <= 2 for v in cube_vals)
             axes = tuple(a for a in range(3) if len(cube_vals[a]) > 1)
-            b_min = tuple(min(cube_vals[a]) for a in range(3))
-            base_corner = tuple(R * b_min[i] - h for i in range(3))
-            anchor = tuple(x[i] - base_corner[i] for i in range(3))
+            # the anchor relative to the centre R*b of the block's base cube
+            anchor = tuple(c - R * min(v) for c, v in zip(x, cube_vals))
             buckets.setdefault(axes, []).append((shape, anchor))
     classes = []
     for axes in sorted(buckets):
@@ -362,9 +309,9 @@ def metacube_adjacency_counts() -> dict:
     return counts
 
 
-def _kernel_basis(A: np.ndarray, cut: float = KERNEL_CUT) -> np.ndarray:
+def _kernel_basis(A: np.ndarray) -> np.ndarray:
     vals, vecs = scipy.linalg.eigh(A)
-    return vecs[:, vals <= cut]
+    return vecs[:, vals <= KERNEL_TOL]
 
 
 def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) -> bool:
@@ -372,37 +319,24 @@ def verify_ground_space_preservation(spec: FiniteRangeSpec, cubes, config=None) 
 
     `cubes` is a collection of cube indices b (the region is the union of
     C(R*b)).  Both Hamiltonians are built densely on the region with a
-    shared cube-major site order; the check is mutual subspace containment
-    with residual at most 1e-9.  Raises DimensionLimitError when the region
-    dimension exceeds the dense limit.
+    shared cube-major site order, and both kernels are cut at KERNEL_TOL;
+    the check is mutual subspace containment with residual at most 1e-9.
+    Raises DimensionLimitError when the region dimension exceeds the dense
+    limit.
     """
     limit = config.dense_limit if config else DEFAULT_DENSE_LIMIT
     R = spec.R
     cube_set = sorted({_as_vec3(b) for b in cubes})
     if not cube_set:
         raise ValueError("region contains no cubes")
-    region = _cube_sites(cube_set, R)
-
-    H_orig = dense_matrix(
-        ManyBodyOperator(region, spec.d, _region_terms(spec, region)), limit=limit
-    )
-
-    cg = coarse_grain(spec)
-    cube_index = set(cube_set)
+    op = region_hamiltonian(spec, cube_set)
+    H_orig = dense_matrix(op, limit=limit)
     coarse_terms = []
-    for cls in cg.classes:
+    for cls in coarse_grain(spec).classes:
         M = cls.matrix(limit=limit)
-        shifts = {
-            tuple(b[i] - c[i] for i in range(3))
-            for b in cube_set
-            for c in cls.block
-        }
-        for t in sorted(shifts):
-            covered = [tuple(t[i] + c[i] for i in range(3)) for c in cls.block]
-            if not all(b in cube_index for b in covered):
-                continue
-            coarse_terms.append((tuple(_cube_sites(covered, R)), M))
-    H_cg = dense_matrix(ManyBodyOperator(region, spec.d, coarse_terms), limit=limit)
+        for b in _translates(cls.block, cube_set):
+            coarse_terms.append((tuple(_cube_sites(_place(b, cls.block), R)), M))
+    H_cg = dense_matrix(ManyBodyOperator(op.site_list, spec.d, coarse_terms), limit=limit)
 
     V1 = _kernel_basis(H_orig)
     V2 = _kernel_basis(H_cg)

@@ -193,11 +193,6 @@ def classify_pairs(tail, head, axis, first, second) -> np.ndarray:
     return np.select([same, one & (a1 == a2), one], codes, PairClass.DISJOINT)
 
 
-def classify_pair(e1: Edge, e2: Edge) -> PairClass:
-    """`classify_pairs` for a single pair of edges."""
-    return PairClass(int(classify_pairs(*edge_arrays((e1, e2)), 0, 1)))
-
-
 @dataclass
 class CountReport:
     """Enumerated box-containment counts vs. the closed forms.

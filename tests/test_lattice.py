@@ -13,11 +13,16 @@ from gapcert.lattice import (
     PairClass,
     box_edges,
     canonical_site,
-    classify_pair,
+    classify_pairs,
+    edge_arrays,
     periodic_edges,
     sites,
     verify_counting_lemma,
 )
+
+
+def classify_pair(e1, e2):
+    return PairClass(int(classify_pairs(*edge_arrays((e1, e2)), 0, 1)))
 
 
 def box_sites(box: BoxRegion, geometry: LatticeGeometry):

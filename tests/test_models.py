@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gapcert.coarsegrain import FiniteRangeSpec, validate_range
+from gapcert.coarsegrain import FiniteRangeSpec
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import (
     MODELS,
@@ -103,7 +103,6 @@ class TestRegistry:
         spec = build_model("heisenberg-ferro-fr", R=3)
         assert isinstance(spec, FiniteRangeSpec)
         assert spec.R == 3
-        assert validate_range(spec)
         with pytest.raises(ValueError, match="registry"):
             build_model("no-such-model")
 

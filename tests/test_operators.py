@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gapcert.coarsegrain import FiniteRangeSpec, InteractionShape, build_HCn
+from gapcert.coarsegrain import FiniteRangeSpec, InteractionShape, region_hamiltonian
 from gapcert.lattice import (
     LatticeGeometry,
     PairClass,
-    classify_pair,
+    classify_pairs,
+    edge_arrays,
     grid_edges,
     grid_sites,
     periodic_edges,
@@ -38,6 +41,10 @@ FERRO = heisenberg_ferro()
 SINGLET = np.zeros((4, 4), dtype=complex)
 SINGLET[1, 1] = SINGLET[2, 2] = 0.5
 SINGLET[1, 2] = SINGLET[2, 1] = -0.5
+
+
+def classify_pair(e1, e2):
+    return PairClass(int(classify_pairs(*edge_arrays((e1, e2)), 0, 1)))
 
 
 def random_vec(dim, seed=0):
@@ -228,7 +235,8 @@ class TestSparse:
         # identity on the third
         P = heisenberg_ferro_fr(R=1).shapes[0].projection
         shape = InteractionShape(((0, 0, 0), (1, 0, 0), (0, 1, 0)), np.kron(P, I2))
-        H = build_HCn(FiniteRangeSpec(d=2, shapes=(shape,), R=1), 1)
+        spec = FiniteRangeSpec(d=2, shapes=(shape,), R=1)
+        H = region_hamiltonian(spec, itertools.product(range(2), repeat=3))
         assert {len(sites_of_term) for sites_of_term, _ in H.terms} == {3}
         assert H.sparse().dtype == np.float64
         assert_sparse_matches_apply(H)
