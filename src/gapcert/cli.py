@@ -28,7 +28,13 @@ import os
 import sys
 import time
 
-import numpy as np
+# Idle OpenBLAS workers spin for 2^28 cycles after each call by default, a
+# whole core burnt between the many short BLAS calls of a solve; at 2^4 they
+# sleep at once.  OpenBLAS reads this once, when numpy or scipy loads it, so
+# it must be set before the first numpy import.  A caller's value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 
 from gapcert.coarsegrain import (
     FiniteRangeSpec,

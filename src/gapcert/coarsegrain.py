@@ -256,10 +256,8 @@ def coarse_grain(spec: FiniteRangeSpec) -> CoarseGrainedSpec:
                     f"cover exceeds a 2x2x2 cube block"
                 )
     buckets = {}
-    n_anchors = 0
     for shape in spec.shapes:
         for x in _cube_sites([(0, 0, 0)], R):
-            n_anchors += 1
             sites = _place(x, shape.offsets)
             cube_vals = [{cube_of(s, R)[a] for s in sites} for a in range(3)]
             assert all(len(v) <= 2 for v in cube_vals)
@@ -287,10 +285,10 @@ def coarse_grain(spec: FiniteRangeSpec) -> CoarseGrainedSpec:
             )
         )
     cg = CoarseGrainedSpec(d=spec.d, R=R, classes=tuple(classes))
-    if cg.n_cell_terms != n_anchors:
+    if cg.n_cell_terms != len(spec.shapes) * R**3:
         raise AssertionError(
             f"term conservation violated: {cg.n_cell_terms} assigned "
-            f"vs {n_anchors} translated terms per cell"
+            f"vs {len(spec.shapes)} shapes x {R**3} placements per cell"
         )
     return cg
 

@@ -27,8 +27,9 @@ a principal submatrix of the CSR, and a weight for each eigenvalue:
   2S+1 that is not an integer is a SolverConvergenceError.
 k widens until a block's weights reach max(k, kernel + 1) or the block is
 exhausted.  The whole dimension against the dense limit picks the path of
-every block; an iterative block too small for ARPACK to reach far enough
-is solved by dense `eigh`.  The lowest values over all blocks are merged,
+every block; an iterative block too small for ARPACK to reach far enough,
+or one of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is
+solved by dense `eigh`.  The lowest values over all blocks are merged,
 each repeated by its weight with the residual of its eigenvector embedded
 back into the full space.
 
@@ -53,7 +54,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator, ManyBodyOperator
+from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator
 
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
@@ -139,6 +140,11 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     if np.iscomplexobj(A):
         v0 = v0 + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
+    if not (A @ v0).any():
+        # almost surely only the zero block does this; ARPACK needs a Krylov space
+        raise SolverConvergenceError(
+            f"ARPACK could not iterate at dim {dim}: the block annihilates the start vector"
+        )
     maxiter = config.max_iter or 20000
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
@@ -157,11 +163,6 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
             f"ARPACK converged {len(found)} of {k} eigenpairs at dim {dim} "
             f"within maxiter={maxiter}; converged Ritz values, not known to be "
             f"the lowest: {found}"
-        ) from exc
-    except ArpackError as exc:
-        # e.g. error -9 when the operator annihilates the start vector
-        raise SolverConvergenceError(
-            f"ARPACK could not iterate at dim {dim}: {exc}"
         ) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
@@ -183,7 +184,25 @@ def _charge_labels(op):
     return labels
 
 
-def _multiplicities(raising, m0: float, idx, vals, vecs, exhausted: bool):
+def _raise_central(Sp, d: int, m: int, idx, up, V):
+    """(sum_j S+_j) V for columns V on the basis indices `idx`, as rows on `up`.
+
+    S+[a, b] on site j sends an index whose digit j is b to
+    index + (a - b) d^(m-1-j).  Every image lies in one charge block, whose
+    sorted indices `up` give the rows of W by np.searchsorted.
+    """
+    Sp = Sp if Sp.imag.any() else Sp.real
+    W = np.zeros((len(up), V.shape[1]), dtype=np.result_type(V, Sp))
+    for j in range(m):
+        stride = d ** (m - 1 - j)
+        digit = idx // stride % d
+        for a, b in zip(*np.nonzero(Sp)):
+            sel = np.flatnonzero(digit == b)
+            W[np.searchsorted(up, idx[sel] + (a - b) * stride)] += Sp[a, b] * V[sel]
+    return W
+
+
+def _multiplicities(raise_central, m0: float, vals, vecs, exhausted: bool):
     """2S+1 of each central-block pair in the complete clusters of `vals`.
 
     A cluster is a run of eigenvalues each within CLUSTER_TOL of the next.
@@ -197,9 +216,7 @@ def _multiplicities(raising, m0: float, idx, vals, vecs, exhausted: bool):
     bounds = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1).tolist(), len(vals)]
     if not exhausted:
         bounds.pop()
-    V = np.zeros((raising.dimension, bounds[-1]), dtype=vecs.dtype)
-    V[idx] = vecs[:, : bounds[-1]]
-    W = raising.apply(V)
+    W = raise_central(vecs[:, : bounds[-1]])
     gram = W.conj().T @ W
     weights = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -240,10 +257,11 @@ def _sectors(op):
         return [(A[idx][:, idx], idx, _unit_weights) for idx in np.split(order, cuts)]
     low = labels[labels >= 0].min()
     a, b = (int(i[0]) for i in np.nonzero(Sp))
+    step = op.charges[a] - op.charges[b]
     idx = np.flatnonzero(labels == low)
-    raising = ManyBodyOperator(op.site_list, op.d, [((s,), Sp) for s in op.site_list])
-    m0 = low / (op.charges[a] - op.charges[b])
-    return [(A[idx][:, idx], idx, functools.partial(_multiplicities, raising, m0, idx))]
+    up = np.flatnonzero(labels == low + step)
+    raise_central = functools.partial(_raise_central, Sp, op.d, len(op.site_list), idx, up)
+    return [(A[idx][:, idx], idx, functools.partial(_multiplicities, raise_central, low / step))]
 
 
 def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):
@@ -254,8 +272,9 @@ def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: floa
     pairs expand to max(config.k, kernel + 1) values, kernel being their
     weight at or below kernel_tol, or the block is exhausted.  On the
     iterative path ARPACK runs while its k fits under dim - 2 and
-    config.max_k; a block too small for ARPACK to reach far enough is
-    solved by dense eigh instead.
+    config.max_k; a block too small for ARPACK to reach far enough, or one
+    of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is solved by
+    dense eigh instead.
     """
     n = B.shape[0]
     arpack = iterative and max(config.k, 2) <= n - 2
@@ -263,7 +282,16 @@ def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: floa
     dense = None
     while True:
         if arpack:
-            vals, vecs = _arpack_lowest(B, config, k)
+            try:
+                vals, vecs = _arpack_lowest(B, config, k)
+            except ArpackError as exc:
+                # e.g. error 3 (no shifts could be applied) on a large kernel
+                if n > DEFAULT_DENSE_LIMIT:
+                    raise SolverConvergenceError(
+                        f"ARPACK could not iterate at dim {n}: {exc}"
+                    ) from exc
+                arpack = False
+                continue
         else:
             if dense is None:
                 dense = B.toarray()

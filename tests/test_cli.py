@@ -1,15 +1,20 @@
 import argparse
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gapcert import cli
+from gapcert import cli, spectral
 from gapcert.cli import CSV_HEADER, build_parser, cs_witnesses, main
 from gapcert.criteria import threshold_main
 from gapcert.models import aklt, heisenberg_ferro, random_projection, save_model
 from gapcert.operators import NNInteraction
 from gapcert.spectral import EigenSolveConfig
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -61,6 +66,22 @@ class TestGap:
         assert rc == 0, err
         assert "gap: 0.5\n" in out
         assert "method: iterative" in out
+
+    def test_arpack_refusal_falls_back_to_dense(self, capsys, tmp_path, monkeypatch):
+        # 81 states with a 31-fold kernel: ARPACK stops with error 3 (no
+        # shifts could be applied), so the block is solved by dense eigh
+        save_model(random_projection(3, 2, 5), tmp_path / "rp.model")
+        argv = ["gap", "--model", str(tmp_path / "rp.model"), "--n", "3", "--dense-limit", "1"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        assert "kernel_dim: 31\n" in out
+        assert "gap: 0.136158539934\n" in out
+        # above the fallback's size the same refusal stays a solver failure
+        monkeypatch.setattr(spectral, "DEFAULT_DENSE_LIMIT", 80)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert "ARPACK could not iterate at dim 81: ARPACK error 3" in err
+        assert out == ""
 
     def test_one_default_dense_limit(self, monkeypatch):
         monkeypatch.delenv("GAPCERT_DENSE_LIMIT", raising=False)
@@ -780,6 +801,44 @@ def test_gap_output_golden(capsys, tmp_path, case):
                 assert abs(float(g)) < 1e-12 if w == "~" else g == w
         else:
             assert got == want
+
+
+# The CLI sets OPENBLAS_THREAD_TIMEOUT before numpy loads OpenBLAS unless the
+# caller set it, and no result depends on the timeout or the BLAS thread count.
+THREAD_PROBE = (
+    "import gapcert.cli, os, sys; print(os.environ['OPENBLAS_THREAD_TIMEOUT']); "
+    "sys.exit(gapcert.cli.main(['gap', '--model', 'aklt', '--n', '7']))"
+)
+
+
+def _thread_probe(**env):
+    """stdout lines of THREAD_PROBE in a fresh interpreter with `env` added."""
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE],
+        capture_output=True, text=True, env={**base, **env}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _roundoff_masked(line):
+    """`line` with each roundoff-sized (< 1e-12) eigenvalue or residual as "~"."""
+    if not line.startswith(("eigenvalues: ", "residuals: ")):
+        return line
+    key, vals = line.split(": ")
+    return key + ": " + " ".join("~" if abs(float(v)) < 1e-12 else v for v in vals.split())
+
+
+def test_blas_thread_policy():
+    default = _thread_probe()
+    assert default[0] == "4"
+    assert "gap: 0.37934913307" in default
+    assert _thread_probe(OPENBLAS_THREAD_TIMEOUT="28") == ["28", *default[1:]]
+    one_thread = _thread_probe(OPENBLAS_NUM_THREADS="1")
+    assert [_roundoff_masked(x) for x in one_thread] == [_roundoff_masked(x) for x in default]
 
 
 def _leaf_commands(parser, path=()):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
+from gapcert import coarsegrain
 from gapcert.coarsegrain import (
     CoarseKind,
     FiniteRangeSpec,
@@ -150,6 +151,13 @@ class TestCoarseGrain:
             assert face.n_terms == 9
             assert face.n_cubes == 2
             assert face.block_dim == 2**54
+
+    def test_lost_placement_breaks_conservation(self, monkeypatch):
+        # one anchor of the unit cell dropped: 3 shapes x 27 - 3 terms assigned
+        cube_sites = coarsegrain._cube_sites
+        monkeypatch.setattr(coarsegrain, "_cube_sites", lambda cubes, R: cube_sites(cubes, R)[1:])
+        with pytest.raises(AssertionError, match="term conservation violated: 78 assigned"):
+            coarse_grain(heisenberg_ferro_fr(R=3))
 
     def test_block_sites_cube_major(self):
         cg = coarse_grain(heisenberg_ferro_fr(R=3))

@@ -82,6 +82,23 @@ class TestOneSector:
         assert len(seen) == blocks
         assert sum(seen) == H.dimension
 
+    def test_raise_central_matches_full_space_apply(self, name, factory, m, central, blocks):
+        # reference: the full-space sum of single-site S+ terms on the embedded columns
+        H = chain(factory(), m)
+        labels = spectral._charge_labels(H)
+        low = labels[labels >= 0].min()
+        a, b = np.argwhere(H.raising)[0]
+        step = H.charges[a] - H.charges[b]
+        idx, up = np.flatnonzero(labels == low), np.flatnonzero(labels == low + step)
+        V = np.random.default_rng(0).standard_normal((central, 3))
+        full = np.zeros((H.dimension, 3))
+        full[idx] = V
+        raising = ManyBodyOperator(H.site_list, H.d, [((s,), H.raising) for s in H.site_list])
+        want = raising.apply(full)
+        got = spectral._raise_central(H.raising, H.d, m, idx, up, V)
+        assert_allclose(got, want[up], rtol=0, atol=1e-14)
+        assert np.linalg.norm(want) == pytest.approx(np.linalg.norm(got), rel=1e-14)
+
 
 def test_aklt_open_kernel_is_singlet_plus_triplet():
     # the open AKLT chain's four ground states are S = 0 and S = 1
@@ -143,11 +160,8 @@ class TestRefusals:
 
     def test_off_integer_multiplicity_exits_2(self, capsys, monkeypatch):
         # a raising operator 5% too long moves every |S+ v|^2 off S(S+1) - M0(M0+1)
-        class Stretched(ManyBodyOperator):
-            def apply(self, v):
-                return 1.05 * super().apply(v)
-
-        monkeypatch.setattr(spectral, "ManyBodyOperator", Stretched)
+        raise_central = spectral._raise_central
+        monkeypatch.setattr(spectral, "_raise_central", lambda *a: 1.05 * raise_central(*a))
         rc = main(["gap", "--model", "heisenberg-ferro", "--n", "4"])
         assert rc == 2
         assert "not integers" in capsys.readouterr().err
