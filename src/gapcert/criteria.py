@@ -466,12 +466,14 @@ def aligned_pair_witness(
 
     On a ring every touching pair is aligned, so Q is exactly the aligned
     anticommutator sum and nonnegativity of 2H + Q is the aggregated
-    operator Cauchy-Schwarz bound -Q <= 2H.
+    operator Cauchy-Schwarz bound -Q <= 2H.  It keeps H's charges and S+.
     """
     if m < 3:
         raise ValueError(f"ring needs m >= 3 sites, got {m}")
     dec = build_QR(model, grid_edges(1, m, periodic=True), grid_sites(1, m))
     doubled_H = [(sites_of_term, 2.0 * M) for sites_of_term, M in dec.H.terms]
-    lhs = ManyBodyOperator(dec.H.site_list, model.d, doubled_H + dec.Q.terms)
+    lhs = ManyBodyOperator(
+        dec.H.site_list, model.d, doubled_H + dec.Q.terms, model.charges, model.raising
+    )
     pairs = lowest_eigenvalues(lhs, config)
     return float(pairs[0][0])

@@ -7,7 +7,9 @@ exactly real, complex128 otherwise.  Every solver works on one
 representation, a scipy.sparse CSR matrix of that dtype assembled once per
 operator by index arithmetic on the tensor basis.  The matrix-free matvec
 (`apply`) stays as an independent path for residuals and for the
-square-identity check; it computes in the common type of the vector and
+square-identity check: each term reads only the amplitudes of its nonzero
+columns and writes only its nonzero rows, through one matmul with its
+matrix cut to those.  It computes in the common type of the vector and
 the operator, so real models run real matvecs on real vectors.  Basis
 convention: site order follows the site list, with the first site the
 most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
@@ -250,6 +252,7 @@ class ManyBodyOperator:
         self.dtype = np.dtype(np.float64 if real else np.complex128)
         self._mats = [np.ascontiguousarray(M.real if real else M) for M in mats]
         self._csr = None
+        self._cut = None
 
     @property
     def terms(self):
@@ -272,11 +275,39 @@ class ManyBodyOperator:
             )
         return self._csr
 
+    def _cut_terms(self):
+        """Per nonzero term, built on first use and kept: the state shape with
+        each run of untouched sites merged into one axis, the order of its
+        axes that puts the term's sites first, the term's matrix cut to its
+        nonzero rows and columns, and the digits of those rows and of those
+        columns (None for all d^k)."""
+        if self._cut is None:
+            m, d = len(self.site_list), self.d
+            self._cut = []
+            for pos, M in zip(self._positions, self._mats):
+                rows, cols = (np.flatnonzero(M.any(axis=a)) for a in (1, 0))
+                if rows.size == 0:
+                    continue
+                starts = [i for i in range(m) if i == 0 or i in pos or i - 1 in pos]
+                shape = tuple(d ** (b - a) for a, b in zip(starts, starts[1:] + [m]))
+                axes = tuple(starts.index(p) for p in pos)
+                order = axes + tuple(i for i in range(len(shape)) if i not in axes)
+                k = len(pos)
+                digits = [
+                    None if nz.size == d**k else np.unravel_index(nz, (d,) * k)
+                    for nz in (rows, cols)
+                ]
+                self._cut.append((shape, order, k, M[np.ix_(rows, cols)], *digits))
+        return self._cut
+
     def apply(self, v):
         """Matvec; accepts a vector (dim,) or a column batch (dim, nb).
 
         Computes in the common type of v and `dtype`: a real vector on a real
-        operator stays real, a complex vector stays complex.
+        operator stays real, a complex vector stays complex.  Each term
+        gathers the amplitudes of its nonzero columns, multiplies them by its
+        cut matrix and adds the product into its nonzero rows; a term with no
+        zero row or column is a plain transpose, matmul and add.
         """
         v = np.asarray(v)
         v = v.astype(np.result_type(v, self.dtype), copy=False)
@@ -284,15 +315,16 @@ class ManyBodyOperator:
             raise ValueError(
                 f"vector length {v.shape[0]} does not match dimension {self.dimension}"
             )
-        m, d = len(self.site_list), self.d
         out = np.zeros_like(v)
-        vr = v.reshape((d,) * m + v.shape[1:])
-        outr = out.reshape(vr.shape)
-        for pos, M in zip(self._positions, self._mats):
-            k = len(pos)
-            Mr = M.reshape((d,) * (2 * k))
-            t = np.tensordot(Mr, vr, axes=(tuple(range(k, 2 * k)), pos))
-            outr += np.moveaxis(t, tuple(range(k)), pos)
+        for shape, order, k, M, rows, cols in self._cut_terms():
+            # splitting axis 0 is always a view, so the adds land in `out`
+            perm = order + tuple(range(len(shape), v.ndim - 1 + len(shape)))
+            vt, ot = (x.reshape(shape + v.shape[1:]).transpose(perm) for x in (v, out))
+            product = M @ (vt if cols is None else vt[cols]).reshape(M.shape[1], -1)
+            if rows is None:
+                ot += product.reshape(ot.shape)
+            else:
+                ot[rows] += product.reshape((-1,) + ot.shape[k:])
         return out
 
 

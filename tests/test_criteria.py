@@ -21,8 +21,15 @@ from gapcert.criteria import (
     threshold_main,
     verify_proposition_key,
 )
+from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import aklt, heisenberg_ferro, random_projection
-from gapcert.operators import DimensionLimitError, NNInteraction
+from gapcert.operators import (
+    DimensionLimitError,
+    ManyBodyOperator,
+    NNInteraction,
+    build_QR,
+    dense_matrix,
+)
 from gapcert.spectral import EigenSolveConfig
 
 FERRO = heisenberg_ferro()
@@ -217,6 +224,16 @@ class TestAlignedPair:
     def test_small_ring_rejected(self):
         with pytest.raises(ValueError):
             aligned_pair_witness(FERRO, 2)
+
+    @pytest.mark.parametrize("model, m", [(aklt(), 5), (aklt(), 6), (FERRO, 5)])
+    def test_central_block_holds_the_minimum(self, model, m):
+        # the witness solves the central S^z block only; the charge-free
+        # 2H + Q, diagonalized whole, has the same lowest eigenvalue
+        dec = build_QR(model, grid_edges(1, m, periodic=True), grid_sites(1, m))
+        terms = [(sites_of_term, 2.0 * M) for sites_of_term, M in dec.H.terms] + dec.Q.terms
+        whole = ManyBodyOperator(dec.H.site_list, model.d, terms)
+        want = np.linalg.eigvalsh(dense_matrix(whole))[0]
+        assert abs(aligned_pair_witness(model, m) - want) <= 1e-12
 
 
 class TestPropositionKey:

@@ -280,6 +280,98 @@ class TestSparse:
         assert_sparse_matches_apply(op)
 
 
+def local_matrix(rng, d, k, kind, complex_):
+    """A d^k x d^k matrix: "full" has no zero row or column, "zero" is all
+    zero, "cut" zeroes about half of its rows and half of its columns, always
+    row 0 and the last column but never the last row or column 0."""
+    n = d**k
+    M = rng.uniform(0.5, 1.5, (n, n)) * rng.choice([-1, 1], (n, n))
+    if complex_:
+        M = M + 1j * rng.standard_normal((n, n))
+    if kind == "zero":
+        M[:] = 0
+    elif kind == "cut":
+        rows, cols = rng.random(n) < 0.5, rng.random(n) < 0.5
+        rows[[0, -1]] = cols[[-1, 0]] = True, False
+        M[rows] = 0
+        M[:, cols] = 0
+    return M
+
+
+def vector_layouts(rng, dim):
+    """A real 1-D vector, C- and F-ordered batches and a column slice."""
+    batch = rng.standard_normal((dim, 3))
+    return [
+        rng.standard_normal(dim),
+        batch,
+        np.asfortranarray(batch),
+        rng.standard_normal((dim, 7))[:, 2:5],
+    ]
+
+
+def assert_apply_matches_csr(op, V):
+    got = op.apply(V)
+    assert got.shape == V.shape
+    assert_allclose(got, op.sparse() @ V, rtol=0, atol=1e-12)
+
+
+class TestCutMatvec:
+    """`apply` reads and writes only each term's nonzero rows and columns;
+    the CSR assembly is the independent reference."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_named_cases(self, d):
+        rng = np.random.default_rng(d)
+        chain = grid_sites(1, 5)
+        placed = [
+            ((2,), "cut"),  # one site in the middle: one index array
+            ((0,), "cut"),
+            ((3, 1), "cut"),  # out of order
+            ((4, 0), "cut"),  # far apart
+            ((1, 2, 3), "cut"),  # adjacent
+            ((4, 0, 2), "zero"),
+            ((2, 4), "full"),
+        ]
+        terms = [
+            (tuple(chain[i] for i in pos), local_matrix(rng, d, len(pos), kind, i % 2 == 1))
+            for i, (pos, kind) in enumerate(placed)
+        ]
+        op = ManyBodyOperator(chain, d, terms)
+        assert op.dtype == np.complex128
+        for V in vector_layouts(rng, op.dimension):
+            assert_apply_matches_csr(op, V)
+
+    @given(
+        d=st.sampled_from([2, 3]),
+        data=st.data(),
+        layout=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_terms(self, d, data, layout, seed):
+        m = data.draw(st.integers(3, 6 if d == 2 else 4), label="sites")
+        placed = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True),
+                    st.sampled_from(["cut", "cut", "zero", "full"]),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            label="terms",
+        )
+        rng = np.random.default_rng(seed)
+        chain = grid_sites(1, m)
+        terms = [
+            (tuple(chain[i] for i in pos), local_matrix(rng, d, len(pos), kind, complex_))
+            for pos, kind, complex_ in placed
+        ]
+        op = ManyBodyOperator(chain, d, terms)
+        assert_apply_matches_csr(op, vector_layouts(rng, op.dimension)[layout])
+
+
 class TestBuildHamiltonian:
     def test_open_three_site_spectrum(self):
         H = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
@@ -442,6 +534,42 @@ class TestRealArithmetic:
             report = verify_square_identity(*args, trials=3)
             assert not report.passed
             assert report.max_residual > 1e-8
+
+
+def with_new_support(dec):
+    """`dec` with its first Q and first R term each given a nonzero entry in
+    a row and a column that were zero; a term with no zero row or column
+    (AKLT) gets it at its first zero entry instead."""
+
+    def widened(op):
+        terms = op.terms
+        sites_of_term, M = terms[0]
+        rows, cols = np.flatnonzero(~M.any(axis=1)), np.flatnonzero(~M.any(axis=0))
+        r, c = (rows[0], cols[0]) if rows.size else np.argwhere(M == 0)[0]
+        M = M.copy()
+        M[r, c] = 1e-6
+        terms[0] = (sites_of_term, M)
+        return ManyBodyOperator(op.site_list, op.d, terms)
+
+    return TermDecomposition(
+        dec.H, widened(dec.Q), widened(dec.R), dec.n_touching_pairs, dec.n_disjoint_pairs
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (FERRO, grid_edges(2, 4, periodic=True), grid_sites(2, 4)),
+        (aklt(), grid_edges(1, 6, periodic=True), grid_sites(1, 6)),
+    ],
+    ids=["ferro-4x4-torus", "aklt-ring6"],
+)
+def test_square_identity_sees_entries_outside_the_support(args, monkeypatch):
+    dec = with_new_support(build_QR(*args))
+    monkeypatch.setattr("gapcert.operators.build_QR", lambda *a: dec)
+    report = verify_square_identity(*args, trials=1)
+    assert not report.passed
+    assert report.max_residual > 1e-8
 
 
 class TestSquareIdentity:

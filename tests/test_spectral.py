@@ -131,11 +131,17 @@ class TestSpectralGap:
             spectral_gap(diag_op([0.0, 0.0, 0.0]))
 
     def test_zero_operator_iterative(self):
-        # the zero operator annihilates the start vector, so ARPACK cannot
-        # build a Krylov space at all
+        # ARPACK refuses the zero block (its start vector maps to zero), and a
+        # refused block this small is solved densely: the dense path's outcome
         op = ManyBodyOperator([(0,), (1,), (2,)], 2, [])
-        with pytest.raises(SolverConvergenceError):
+        with pytest.raises(GapUndefinedError):
             spectral_gap(op, config=EigenSolveConfig(k=2, dense_limit=1, max_k=4))
+
+    def test_large_zero_operator_is_solver_error(self):
+        # past DEFAULT_DENSE_LIMIT states a refused block has no dense fallback
+        op = ManyBodyOperator(list(range(13)), 2, [])
+        with pytest.raises(SolverConvergenceError, match="ARPACK could not iterate at dim 8192"):
+            spectral_gap(op)
 
     def test_no_convergence_is_solver_error(self):
         # the pairs one ARPACK iteration converges are not the lowest, so they
