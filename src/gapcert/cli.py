@@ -4,7 +4,8 @@ Exit codes are exhaustive and mutually exclusive: 0 success (or all checks
 passed), 1 verification failure, 2 numerical failure (solver did not
 converge or no gap is defined), 3 configuration error (bad flags, unknown
 model, precondition violations, infeasible dimensions, file-system errors
-such as an unwritable --out or a --model that names a directory).
+such as an unwritable --out or a --model that names a directory, or a
+MemoryError: a dimension under the cap that still does not fit).
 
 Size conventions: `gap` and `certify --theorem main` take the box
 parameter n of {0..n}^D, so the solved grid has side n+1 per axis;
@@ -601,6 +602,9 @@ def main(argv=None) -> int:
     except (SolverConvergenceError, GapUndefinedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -50,11 +50,11 @@ from gapcert.lattice import (
 )
 from gapcert.operators import (
     CompositeOperator,
-    ManyBodyOperator,
     NNInteraction,
     build_QR,
     build_hamiltonian,
     dense_matrix,
+    weighted_sum,
 )
 from gapcert.spectral import (
     DEFAULT_CONFIG,
@@ -363,6 +363,11 @@ def verify_proposition_key(
 ) -> PropKeyReport:
     """Check both operator inequalities for A = sum of squared box terms.
 
+    With C[l, e] the times box l holds slot e, H_{B_l} = sum_e C[l, e] h_e
+    and h_e^2 = h_e give A = sum_e G_ee h_e + sum_{e<f} G_ef {h_e, h_f},
+    G = C^T C: the H, Q and R terms of `build_QR` weighted by G.  Each side
+    is one ManyBodyOperator with the model's charges, solved per block.
+
     The torus has (2N)^D sites, so full witnesses are only reachable far
     below the criterion's own regime (N >= 2n+1, D >= 3); out-of-regime
     runs are labeled in the report.  A torus past the operators' dimension
@@ -384,16 +389,22 @@ def verify_proposition_key(
         )
 
     torus_sites = sites(geom)
-    dec = build_QR(model, periodic_edges(geom), torus_sites)
+    edges = sorted(periodic_edges(geom))
+    dec = build_QR(model, edges, torus_sites)
     H = dec.H
     dim = H.dimension
-    Hc = CompositeOperator.from_operator(H)
 
+    # C[l, e]: how often box l holds slot e (twice when it wraps the torus)
+    slot = {e: i for i, e in enumerate(edges)}
+    C = np.zeros((len(torus_sites), len(edges)))
     box_ops = []
-    for base in torus_sites:
-        edges = box_edges(BoxRegion(base=base, n=n), geom)
-        box_ops.append(build_hamiltonian(model, edges, torus_sites))
-    A = CompositeOperator(dim, [(1.0, (B, B)) for B in box_ops])
+    for l, base in enumerate(torus_sites):
+        box = box_edges(BoxRegion(base=base, n=n), geom)
+        np.add.at(C[l], [slot[e] for e in box], 1)
+        box_ops.append(build_hamiltonian(model, box, torus_sites))
+    G = C.T @ C
+    q, r = (G[tuple(pairs.T)] for pairs in (dec.q_pairs, dec.r_pairs))
+    A = weighted_sum([(G.diagonal(), H), (q, dec.Q), (r, dec.R)], model.charges)
 
     gamma_box = subsystem_gap(model, D, n + 1, config=config).gap
 
@@ -401,10 +412,9 @@ def verify_proposition_key(
     c_extra = 2.0 * (n + 1) ** (D - 2)
     c_bent = float(n**2) * (n + 1) ** (D - 2)
 
-    QR = CompositeOperator.from_operator(dec.Q) + CompositeOperator.from_operator(dec.R)
-    rhs1 = (c_edge + c_extra) * Hc + c_bent * QR
+    rhs1 = weighted_sum([(c_edge + c_extra, H), (c_bent, dec.Q), (c_bent, dec.R)], model.charges)
     ok1, w1 = check_operator_inequality(rhs1, A, tol=tol, config=config)
-    rhs2 = (c_edge * gamma_box) * Hc
+    rhs2 = weighted_sum([(c_edge * gamma_box, H)], model.charges)
     ok2, w2 = check_operator_inequality(A, rhs2, tol=tol, config=config)
 
     S = CompositeOperator(dim, [(1.0, (B,)) for B in box_ops])
@@ -471,9 +481,6 @@ def aligned_pair_witness(
     if m < 3:
         raise ValueError(f"ring needs m >= 3 sites, got {m}")
     dec = build_QR(model, grid_edges(1, m, periodic=True), grid_sites(1, m))
-    doubled_H = [(sites_of_term, 2.0 * M) for sites_of_term, M in dec.H.terms]
-    lhs = ManyBodyOperator(
-        dec.H.site_list, model.d, doubled_H + dec.Q.terms, model.charges, model.raising
-    )
+    lhs = weighted_sum([(2.0, dec.H), (1.0, dec.Q)], model.charges, model.raising)
     pairs = lowest_eigenvalues(lhs, config)
     return float(pairs[0][0])

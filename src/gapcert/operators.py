@@ -19,6 +19,9 @@ of P; `build_hamiltonian` hands both to the operator, and the spectral
 solvers then split it into total-charge blocks, or solve only its central
 block when S+ is declared.
 
+`weighted_sum` builds sum c * op as one operator.  `CompositeOperator` is
+only a matrix-free sum of operator products (no CSR, no arithmetic).
+
 Two size guards, each checked in one place: `ManyBodyOperator.__init__`
 refuses a dimension past `MAX_DIMENSION`, before anything is allocated,
 and `dense_matrix` refuses a dense array past the caller's dense limit.
@@ -34,8 +37,6 @@ local term of Q or R, a dense matrix on its 3 (touching), 4 (disjoint) or
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,38 +330,21 @@ class ManyBodyOperator:
 
 
 class CompositeOperator:
-    """Real linear combination of products of operator factors.
+    """Real linear combination of products of operator factors, matrix-free.
 
     Parts are (coefficient, factors) with factors a tuple of operators
     applied right-to-left, so (c, (A, B)) contributes c * A(B(v)).  The
-    combination is Hermitian whenever the caller includes products in
-    conjugate-transposed pairs (or squares of Hermitian factors), as the
-    constructors here do.
+    prop-key sum-identity note applies its box Hamiltonians through it.
     """
 
     def __init__(self, dimension: int, parts):
         self.dimension = int(dimension)
-        self.parts = []
-        for coeff, factors in parts:
-            factors = tuple(factors)
-            for f in factors:
-                if f.dimension != self.dimension:
-                    raise ValueError("factor dimension mismatch")
-            self.parts.append((float(coeff), factors))
-        self._csr = None
-
-    @classmethod
-    def from_operator(cls, op, coeff: float = 1.0):
-        if isinstance(op, CompositeOperator):
-            return coeff * op
-        return cls(op.dimension, [(coeff, (op,))])
+        self.parts = [(float(coeff), tuple(factors)) for coeff, factors in parts]
+        if any(f.dimension != self.dimension for _, factors in self.parts for f in factors):
+            raise ValueError("factor dimension mismatch")
 
     def apply(self, v):
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape[0] != self.dimension:
-            raise ValueError(
-                f"vector length {v.shape[0]} does not match dimension {self.dimension}"
-            )
+        v = np.asarray(v, dtype=np.complex128)  # each factor checks the length
         out = np.zeros_like(v)
         for coeff, factors in self.parts:
             w = v
@@ -369,45 +353,42 @@ class CompositeOperator:
             out += coeff * w
         return out
 
-    def sparse(self):
-        """CSR of sum of coeff * (product of the factors' CSR), kept after first use."""
-        if self._csr is None:
-            self._csr = _sum_csr(
-                self.dimension,
-                (
-                    coeff * functools.reduce(operator.matmul, (f.sparse() for f in factors))
-                    for coeff, factors in self.parts
-                ),
+
+def weighted_sum(parts, charges=None, raising=None) -> ManyBodyOperator:
+    """sum of c * op over (c, op) in `parts` as one ManyBodyOperator with the
+    given charges and S+; ValueError unless all ops share one site list and d.
+    c is a number or one weight per term.  Terms of weight 0 are dropped, the
+    rest are scaled by their weights and keep their order, except that a term
+    on the sites of a term of an earlier part is added into that term."""
+    site_list, d = parts[0][1].site_list, parts[0][1].d
+    terms, where = [], {}
+    for c, op in parts:
+        if op.site_list != site_list or op.d != d:
+            raise ValueError(
+                f"operators on different spaces: {len(op.site_list)} sites at d={op.d} "
+                f"against {len(site_list)} sites at d={d}"
             )
-        return self._csr
-
-    def __add__(self, other):
-        other = CompositeOperator.from_operator(other)
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return CompositeOperator(self.dimension, self.parts + other.parts)
-
-    def __sub__(self, other):
-        return self + (-1.0) * CompositeOperator.from_operator(other)
-
-    def __rmul__(self, scalar):
-        return CompositeOperator(
-            self.dimension, [(float(scalar) * c, f) for c, f in self.parts]
-        )
-
-    def __neg__(self):
-        return (-1.0) * self
+        earlier = dict(where)
+        for w, (sites_of_term, M) in zip(np.broadcast_to(c, op.n_terms), op.terms):
+            if w and sites_of_term in earlier:
+                i = earlier[sites_of_term]
+                terms[i] = (sites_of_term, terms[i][1] + w * M)
+            elif w:
+                where[sites_of_term] = len(terms)
+                terms.append((sites_of_term, w * M))
+    return ManyBodyOperator(site_list, d, terms, charges, raising)
 
 
 @dataclass
 class TermDecomposition:
-    """The split H^2 = H + Q + R; one Q (R) term per touching (disjoint) pair."""
+    """The split H^2 = H + Q + R; one Q (R) term per touching (disjoint) pair,
+    Q's (R's) term t on the slots q_pairs[t] (r_pairs[t]) = (i, j) of sorted(edges)."""
 
     H: ManyBodyOperator
     Q: ManyBodyOperator
     R: ManyBodyOperator
-    n_touching_pairs: int = 0
-    n_disjoint_pairs: int = 0
+    q_pairs: np.ndarray
+    r_pairs: np.ndarray
 
 
 def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyOperator:
@@ -460,12 +441,13 @@ def build_QR(interaction: NNInteraction, edges, site_list) -> TermDecomposition:
             P = interaction.P
             by_pattern[pattern] = _anticommutator(((0, 1), P), (pattern, P), H.d)[1]
         (r_terms if apart else q_terms).append((union, by_pattern[pattern]))
+    pairs = np.column_stack((first, second))
     return TermDecomposition(
         H=H,
         Q=ManyBodyOperator(H.site_list, H.d, q_terms),
         R=ManyBodyOperator(H.site_list, H.d, r_terms),
-        n_touching_pairs=len(q_terms),
-        n_disjoint_pairs=len(r_terms),
+        q_pairs=pairs[~disjoint],
+        r_pairs=pairs[disjoint],
     )
 
 
@@ -521,8 +503,8 @@ def verify_square_identity(
     rng = np.random.default_rng(seed)
     report = SquareIdentityReport(
         tol=tol,
-        n_touching_pairs=dec.n_touching_pairs,
-        n_disjoint_pairs=dec.n_disjoint_pairs,
+        n_touching_pairs=len(dec.q_pairs),
+        n_disjoint_pairs=len(dec.r_pairs),
     )
     dim = H.dimension
     for _ in range(trials):

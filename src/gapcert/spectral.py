@@ -54,7 +54,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, CompositeOperator
+from gapcert.operators import DEFAULT_DENSE_LIMIT, weighted_sum
 
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
@@ -391,8 +391,11 @@ def check_operator_inequality(
     tol: float = 1e-9,
     config: EigenSolveConfig | None = None,
 ):
-    """Witness for lhs >= rhs: (min_eig(lhs - rhs) >= -tol, that eigenvalue)."""
-    diff = CompositeOperator.from_operator(lhs) - CompositeOperator.from_operator(rhs)
-    pairs = lowest_eigenvalues(diff, config)
-    witness = pairs[0][0]
-    return witness >= -tol, float(witness)
+    """Witness for lhs >= rhs: (min_eig(lhs - rhs) >= -tol, that eigenvalue).
+
+    lhs - rhs (`weighted_sum`) keeps the sides' charges if equal but never S+,
+    whose 2S+1 guard refuses the zero cluster of rhs - A on the 4x4 torus."""
+    charges = lhs.charges if lhs.charges == rhs.charges else None
+    diff = weighted_sum([(1.0, lhs), (-1.0, rhs)], charges)
+    witness = float(lowest_eigenvalues(diff, config)[0][0])
+    return witness >= -tol, witness

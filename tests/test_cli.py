@@ -225,6 +225,24 @@ class TestExitCodes:
         assert "numerical failure:" in err
         assert "gap:" not in out
 
+    @pytest.mark.parametrize(
+        "exc", [MemoryError("Unable to allocate 1.00 GiB for an array"), MemoryError()]
+    )
+    def test_out_of_memory_is_config_error(self, capsys, monkeypatch, exc):
+        # exit 1 means "verification failed"; an allocation failure is not that
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_proposition_key", fail)
+        rc, out, err = run(
+            capsys, "verify", "prop-key", "--model", "heisenberg-ferro", "--D", "3",
+            "--n", "2", "--N", "1",
+        )
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_counting_pass(self, capsys):

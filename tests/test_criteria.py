@@ -21,13 +21,22 @@ from gapcert.criteria import (
     threshold_main,
     verify_proposition_key,
 )
-from gapcert.lattice import grid_edges, grid_sites
+from gapcert.lattice import (
+    BoxRegion,
+    LatticeGeometry,
+    box_edges,
+    grid_edges,
+    grid_sites,
+    periodic_edges,
+    sites,
+)
 from gapcert.models import aklt, heisenberg_ferro, random_projection
 from gapcert.operators import (
     DimensionLimitError,
     ManyBodyOperator,
     NNInteraction,
     build_QR,
+    build_hamiltonian,
     dense_matrix,
 )
 from gapcert.spectral import EigenSolveConfig
@@ -251,6 +260,27 @@ class TestPropositionKey:
         rep = verify_proposition_key(FERRO, 3, 1, 1)
         assert rep.passed
         assert rep.witness1 >= -1e-9 and rep.witness2 >= -1e-9
+
+    @pytest.mark.parametrize("D, n, N", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+    def test_witnesses_match_dense_box_squares(self, D, n, N):
+        # the literal A = sum_l (H_{B_l})^2, each box squared as a dense matrix
+        geom = LatticeGeometry(D=D, N=N)
+        torus = sites(geom)
+        dec = build_QR(FERRO, periodic_edges(geom), torus)
+        H, Q, R = (dense_matrix(op) for op in (dec.H, dec.Q, dec.R))
+        A = sum(
+            B @ B
+            for B in (
+                dense_matrix(build_hamiltonian(FERRO, box_edges(BoxRegion(base, n), geom), torus))
+                for base in torus
+            )
+        )
+        c_edge = n * (n + 1) ** (D - 1)
+        rhs = (c_edge + 2.0 * (n + 1) ** (D - 2)) * H + n**2 * (n + 1) ** (D - 2) * (Q + R)
+        rep = verify_proposition_key(FERRO, D, n, N)
+        assert abs(rep.witness1 - np.linalg.eigvalsh(rhs - A)[0]) <= 1e-10
+        lower = A - c_edge * rep.gamma_box * H
+        assert abs(rep.witness2 - np.linalg.eigvalsh(lower)[0]) <= 1e-10
 
     def test_refusal_with_feasible_envelope(self):
         with pytest.raises(DimensionLimitError, match="feasible"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,7 +24,6 @@ from gapcert.operators import (
     DimensionLimitError,
     ManyBodyOperator,
     NNInteraction,
-    TermDecomposition,
     build_QR,
     build_hamiltonian,
     cauchy_schwarz_witness,
@@ -32,6 +32,7 @@ from gapcert.operators import (
     _anticommutator,
     projection_defects,
     verify_square_identity,
+    weighted_sum,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -186,23 +187,56 @@ class TestCompositeOperator:
         v = random_vec(4, seed=4)
         assert_allclose(comp.apply(v), 2.0 * (Ad @ (Bd @ v)), atol=1e-13)
 
-    def test_arithmetic(self):
-        H = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
-        cH = CompositeOperator.from_operator(H)
-        A = dense_matrix(H)
-        v = random_vec(8, seed=6)
-        assert_allclose((cH + cH).apply(v), 2 * A @ v, atol=1e-12)
-        assert_allclose((cH - cH).apply(v), 0 * v, atol=1e-12)
-        assert_allclose((3.0 * cH).apply(v), 3 * A @ v, atol=1e-12)
-        assert_allclose((-cH).apply(v), -A @ v, atol=1e-12)
-
     def test_dimension_mismatch(self):
-        H3 = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
         H4 = build_hamiltonian(FERRO, grid_edges(1, 4), grid_sites(1, 4))
         with pytest.raises(ValueError):
-            CompositeOperator.from_operator(H3) + CompositeOperator.from_operator(H4)
-        with pytest.raises(ValueError):
             CompositeOperator(8, [(1.0, (H4,))])
+
+
+class TestWeightedSum:
+    def test_matches_dense_combination(self):
+        dec = build_QR(random_projection(2, 1, seed=3), grid_edges(1, 4), grid_sites(1, 4))
+        h_weights = np.array([2.0, 0.0, -1.5])
+        op = weighted_sum([(h_weights, dec.H), (-0.5, dec.Q), (3.0, dec.R)])
+        # the zero-weight H term is dropped, the rest keep their order
+        assert op.n_terms == 2 + dec.Q.n_terms + dec.R.n_terms
+        assert [s for s, _ in op.terms[:2]] == [dec.H.terms[0][0], dec.H.terms[2][0]]
+        h = [dense_matrix(single_term_operator(dec.H, i)) for i in range(3)]
+        want = (
+            sum(w * M for w, M in zip(h_weights, h))
+            - 0.5 * dense_matrix(dec.Q)
+            + 3.0 * dense_matrix(dec.R)
+        )
+        assert_allclose(dense_matrix(op), want, rtol=0, atol=1e-13)
+        assert_sparse_matches_apply(op)
+
+    def test_later_part_adds_into_earlier_terms(self):
+        H = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
+        diff = weighted_sum([(1.0, H), (-1.0, H)])
+        assert diff.n_terms == H.n_terms
+        assert not any(M.any() for _, M in diff.terms)
+        # within one part, terms on the same sites stay apart: on the 3-ring
+        # two touching pairs share the union of sites (0, 1, 2)
+        dec = build_QR(FERRO, grid_edges(1, 3, periodic=True), grid_sites(1, 3))
+        unions = [s for s, _ in dec.Q.terms]
+        assert len(set(unions)) < len(unions)
+        op = weighted_sum([(2.0, dec.H), (1.0, dec.Q)])
+        assert [s for s, _ in op.terms] == [s for s, _ in dec.H.terms] + unions
+
+    def test_declares_what_it_is_given(self):
+        H = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
+        assert weighted_sum([(2.0, H)]).charges is None
+        op = weighted_sum([(2.0, H)], FERRO.charges, FERRO.raising)
+        assert op.charges == FERRO.charges
+        assert_allclose(op.raising, FERRO.raising)
+
+    def test_different_spaces_refused(self):
+        H3 = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
+        H4 = build_hamiltonian(FERRO, grid_edges(1, 4), grid_sites(1, 4))
+        A3 = build_hamiltonian(aklt(), grid_edges(1, 3), grid_sites(1, 3))
+        for other in (H4, A3):
+            with pytest.raises(ValueError, match="different spaces"):
+                weighted_sum([(1.0, H3), (1.0, other)])
 
 
 def identity_columns(op):
@@ -246,26 +280,6 @@ class TestSparse:
         H = build_hamiltonian(model, grid_edges(1, 4, periodic=True), grid_sites(1, 4))
         assert H.sparse().dtype == np.complex128
         assert_sparse_matches_apply(H)
-
-    def test_composite_products_and_negative_coefficients(self):
-        dec = build_QR(random_projection(2, 1, seed=3), grid_edges(1, 4), grid_sites(1, 4))
-        # edges (0,1), (1,2), (2,3): pairs {0,1} and {1,2} touch, {0,2} is disjoint
-        h = [single_term_operator(dec.H, i) for i in range(3)]
-
-        def anticommutators(pairs):
-            return CompositeOperator(
-                dec.H.dimension,
-                [(1.0, (h[i], h[j])) for a, b in pairs for i, j in ((a, b), (b, a))],
-            )
-
-        Q = anticommutators([(0, 1), (1, 2)])
-        R = anticommutators([(0, 2)])
-        C = 2.0 * CompositeOperator.from_operator(dec.H) - Q - 0.5 * R
-        assert any(len(factors) == 2 for _, factors in C.parts)
-        assert any(coeff < 0 for coeff, _ in C.parts)
-        assert_sparse_matches_apply(C)
-        cH = CompositeOperator.from_operator(dec.H)
-        assert_sparse_matches_apply(cH - cH)
 
     @given(st.permutations(range(5)))
     @settings(max_examples=30, deadline=None)
@@ -412,8 +426,8 @@ QR_IDS = ["ferro_torus3x3", "aklt_ring5", "random_side2"]
 class TestBuildQR:
     def test_single_edge(self):
         dec = build_QR(FERRO, grid_edges(1, 2), grid_sites(1, 2))
-        assert dec.n_touching_pairs == 0
-        assert dec.n_disjoint_pairs == 0
+        assert len(dec.q_pairs) == 0
+        assert len(dec.r_pairs) == 0
         v = random_vec(4, seed=7)
         assert_allclose(dec.Q.apply(v), 0 * v, atol=1e-14)
         assert_allclose(dec.R.apply(v), 0 * v, atol=1e-14)
@@ -425,8 +439,8 @@ class TestBuildQR:
         edges = [e for e in grid_edges(1, 4) if e.tail != (1,)]
         assert len(edges) == 2
         dec = build_QR(FERRO, edges, grid_sites(1, 4))
-        assert dec.n_touching_pairs == 0
-        assert dec.n_disjoint_pairs == 1
+        assert len(dec.q_pairs) == 0
+        assert len(dec.r_pairs) == 1
         h1 = dense_matrix(single_term_operator(dec.H, 0))
         h2 = dense_matrix(single_term_operator(dec.H, 1))
         v = random_vec(16, seed=8)
@@ -435,8 +449,8 @@ class TestBuildQR:
 
     def test_open_three_site_counts(self):
         dec = build_QR(FERRO, grid_edges(1, 3), grid_sites(1, 3))
-        assert dec.n_touching_pairs == 1
-        assert dec.n_disjoint_pairs == 0
+        assert len(dec.q_pairs) == 1
+        assert len(dec.r_pairs) == 0
 
     @pytest.mark.parametrize("model, edges, site_list", QR_CASES, ids=QR_IDS)
     def test_local_terms_match_products(self, model, edges, site_list):
@@ -460,8 +474,8 @@ class TestBuildQR:
         assert_allclose(dense_matrix(dec.Q, limit), Q, rtol=0, atol=1e-13)
         assert_allclose(dense_matrix(dec.R, limit), R, rtol=0, atol=1e-13)
         # one local term per unordered pair, as wide as the pair's sites
-        assert dec.Q.n_terms == dec.n_touching_pairs == len(widths["Q"])
-        assert dec.R.n_terms == dec.n_disjoint_pairs == len(widths["R"])
+        assert dec.Q.n_terms == len(dec.q_pairs) == len(widths["Q"])
+        assert dec.R.n_terms == len(dec.r_pairs) == len(widths["R"])
         assert sorted(len(s) for s, _ in dec.Q.terms) == sorted(widths["Q"])
         assert sorted(len(s) for s, _ in dec.R.terms) == sorted(widths["R"])
         assert set(widths["Q"]) <= {2, 3} and set(widths["R"]) == {4}
@@ -472,6 +486,7 @@ class TestBuildQR:
         dec = build_QR(model, edges, site_list)
         ordered = sorted(edges)
         expected = {"Q": [], "R": []}
+        slots = {"Q": [], "R": []}
         for i in range(len(ordered)):
             for j in range(i + 1, len(ordered)):
                 e, f = ordered[i], ordered[j]
@@ -479,6 +494,9 @@ class TestBuildQR:
                 term = _anticommutator(*pair, model.d)
                 disjoint = classify_pair(e, f) is PairClass.DISJOINT
                 expected["R" if disjoint else "Q"].append(term)
+                slots["R" if disjoint else "Q"].append((i, j))
+        assert dec.q_pairs.tolist() == [list(p) for p in slots["Q"]]
+        assert dec.r_pairs.tolist() == [list(p) for p in slots["R"]]
         for op, want in ((dec.Q, expected["Q"]), (dec.R, expected["R"])):
             assert len(op.terms) == len(want)
             for (sites_of_term, M), (union, A) in zip(op.terms, want):
@@ -494,7 +512,7 @@ def with_one_R_entry_shifted(dec, delta):
     M[0, 0] += delta
     terms[0] = (sites_of_term, M)
     R = ManyBodyOperator(dec.R.site_list, dec.R.d, terms)
-    return TermDecomposition(dec.H, dec.Q, R, dec.n_touching_pairs, dec.n_disjoint_pairs)
+    return dataclasses.replace(dec, R=R)
 
 
 class TestRealArithmetic:
@@ -551,9 +569,7 @@ def with_new_support(dec):
         terms[0] = (sites_of_term, M)
         return ManyBodyOperator(op.site_list, op.d, terms)
 
-    return TermDecomposition(
-        dec.H, widened(dec.Q), widened(dec.R), dec.n_touching_pairs, dec.n_disjoint_pairs
-    )
+    return dataclasses.replace(dec, Q=widened(dec.Q), R=widened(dec.R))
 
 
 @pytest.mark.parametrize(

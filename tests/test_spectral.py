@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import aklt, heisenberg_ferro
-from gapcert.operators import CompositeOperator, ManyBodyOperator, build_hamiltonian, dense_matrix
+from gapcert.operators import ManyBodyOperator, build_hamiltonian, dense_matrix, weighted_sum
 from gapcert.spectral import (
     EigenSolveConfig,
     GapUndefinedError,
@@ -179,19 +179,26 @@ class TestDenseSubset:
 class TestOperatorInequality:
     def test_psd_direction(self):
         H = ferro_chain(4)
-        ok, witness = check_operator_inequality(H, 0.5 * CompositeOperator.from_operator(H))
+        ok, witness = check_operator_inequality(H, weighted_sum([(0.5, H)]))
         assert ok
         assert witness >= -1e-12
 
     def test_violated_direction(self):
         H = ferro_chain(4)
-        ok, witness = check_operator_inequality(0.5 * CompositeOperator.from_operator(H), H)
+        ok, witness = check_operator_inequality(weighted_sum([(0.5, H)]), H)
         assert not ok
         # witness is -(1/2) * largest eigenvalue of H
         top = max(np.linalg.eigvalsh(
             np.array([[ (H.apply(e)).real[i] for e in np.eye(16)] for i in range(16)])
         ))
         assert_allclose(witness, -0.5 * top, atol=1e-10)
+
+    def test_sides_on_different_spaces(self):
+        with pytest.raises(ValueError, match="different spaces"):
+            check_operator_inequality(ferro_chain(3), ferro_chain(4))
+        chain = build_hamiltonian(aklt(), grid_edges(1, 3), grid_sites(1, 3))
+        with pytest.raises(ValueError, match="different spaces"):
+            check_operator_inequality(chain, ferro_chain(3))
 
 
 class TestConfig:
