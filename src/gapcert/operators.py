@@ -3,9 +3,14 @@
 A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
 An operator is a term list with one `dtype`: float64 when every term is
-exactly real, complex128 otherwise.  Every solver works on one
-representation, a scipy.sparse CSR matrix of that dtype assembled once per
-operator by index arithmetic on the tensor basis.  The matrix-free matvec
+exactly real, complex128 otherwise.  Every solver works on scipy.sparse
+CSR blocks of that dtype, each assembled straight from the basis states
+of its charge sector (`Sector`) by index arithmetic: one placement
+routine, `_placed`, puts a local term on a sector and serves the blocks
+(`ManyBodyOperator.block`, `blocks`), the S+ map between two sectors
+(`raising_map`) and the anticommutator patterns of `build_QR`.  The CSR on
+the full tensor basis (`sparse`) is built only for an operator without
+charges and for `dense_matrix`.  The matrix-free matvec
 (`apply`) stays as an independent path for residuals and for the
 square-identity check: each term reads only the amplitudes of its nonzero
 columns and writes only its nonzero rows, through one matmul with its
@@ -159,47 +164,161 @@ class NNInteraction:
         return projection_check(self.P, tol)
 
 
-def _embedded_term(M, pos, m: int, d: int):
-    """CSR of the d^k x d^k matrix M on the tensor factors `pos` of m sites.
+class Sector:
+    """The basis states of m sites of dimension d that a block is built on.
 
-    Entry (a, b) of M lands at (base + off[a], base + off[b]) for every basis
-    index `base` whose digits at `pos` are zero.
+    Without `charges`: every index 0..d^m-1, in order.  With per-site
+    integer `charges`: the states of total charge `label` in ascending
+    index order (`indices`), or, for label None, every state ascending by
+    (total charge, index), so that the blocks of ascending charge follow
+    each other between consecutive `bounds`.
     """
-    strides = d ** (m - 1 - np.arange(m, dtype=np.intp))
-    base = np.zeros(1, dtype=np.intp)
-    for i in sorted(set(range(m)) - set(pos)):
-        base = (base[:, None] + strides[i] * np.arange(d)).ravel()
-    digits = np.unravel_index(np.arange(M.shape[0]), (d,) * len(pos))
-    off = np.zeros(M.shape[0], dtype=np.intp)
-    for p, digit in zip(pos, digits):
-        off += strides[p] * digit
-    dim = d**m
-    # scipy keeps the index dtype it is given; int32 halves the index bytes
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+
+    def __init__(self, m: int, d: int, charges=None, label=None):
+        self.m, self.d, self.charges, self.label = m, d, charges, label
+        self.strides = d ** (m - 1 - np.arange(m, dtype=np.int64))
+        self.size, self.indices, self.rank = d**m, None, None
+        if charges is None:
+            return
+        labels = np.zeros(1, dtype=np.int64)
+        for _ in range(m):
+            labels = (labels[:, None] + np.asarray(charges, dtype=np.int64)).ravel()
+        if label is None:
+            self.indices = np.argsort(labels, kind="stable")
+            cuts = np.flatnonzero(np.diff(labels[self.indices])) + 1
+            self.bounds = [0, *cuts.tolist(), self.size]
+            self.rank = np.empty(self.size, dtype=_index_dtype(self.size))
+            self.rank[self.indices] = np.arange(self.size)
+        else:
+            self.indices = np.flatnonzero(labels == label)
+            self.size = len(self.indices)
+            digit = np.min_scalar_type(d - 1)
+            self.digits = [(self.indices // s % d).astype(digit) for s in self.strides]
+
+    def _offsets(self, sites):
+        """Index of each digit pattern on the tensor factors `sites`, all
+        other digits 0."""
+        off = np.zeros(1, dtype=np.int64)
+        for p in sites:
+            off = (off[:, None] + self.strides[p] * np.arange(self.d)).ravel()
+        return off
+
+    def _runs(self, pos, *patterns):
+        """For each array of digit patterns on the tensor factors `pos`, the
+        positions of the states that spell each pattern in turn, each run in
+        index order, and the run lengths."""
+        d, k = self.d, len(pos)
+        if self.label is None:  # every state, in index or charge order
+            base = self._offsets([i for i in range(self.m) if i not in pos])
+            off = self._offsets(pos)
+            runs = [(off[x][:, None] + base).ravel() for x in patterns]
+            if self.rank is not None:
+                runs = [self.rank[at] for at in runs]
+            return [(at, np.full(len(x), base.size)) for at, x in zip(runs, patterns)]
+        local = np.zeros(self.size, dtype=np.min_scalar_type(d**k - 1))
+        for p in pos:
+            local = local * d + self.digits[p]
+        grouped = np.argsort(local, kind="stable")  # a radix sort on these small types
+        counts = np.bincount(local, minlength=d**k)
+        starts = np.cumsum(counts) - counts
+        out = []
+        for x in patterns:
+            sizes = counts[x]
+            first = np.repeat(starts[x] - np.cumsum(sizes) + sizes, sizes)
+            out.append((grouped[first + np.arange(first.size)], sizes))
+        return out
+
+
+def _index_dtype(n: int):
+    """int32 where it holds n, else int64; scipy keeps the index dtype it is
+    given, and int32 halves the index bytes."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _placed(M, pos, cols: Sector, rows: Sector):
+    """The entries of the d^k x d^k matrix M on the tensor factors `pos`,
+    with its columns on the sector `cols` and its rows on the sector
+    `rows`, as (data, (row, col)) for scipy's sparse constructors.
+
+    Entry (a, b) of M sends each state whose digits at `pos` spell b to
+    index + off[a] - off[b], and moves its total charge by a fixed amount.
+    An entry that does not move `cols` onto `rows` (every sector onto
+    itself, when the sectors are all states in charge order) is refused:
+    the term couples different sectors.  Otherwise the images of the
+    pattern-b run of `cols` are the pattern-a run of `rows`, in order.
+    The entries come in ascending off[b], so each row's columns ascend and
+    a CSR built from them needs no sort.
+    """
+    off = cols._offsets(pos)
     a, b = np.nonzero(M)
-    rows = (off[a][:, None] + base).astype(index).ravel()
-    cols = (off[b][:, None] + base).astype(index).ravel()
-    data = np.repeat(M[a, b], base.size)
-    return scipy.sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
+    order = np.argsort(off[b], kind="stable")
+    a, b = a[order], b[order]
+    if cols.charges is not None:
+        charge = np.asarray(cols.charges)[np.indices((cols.d,) * len(pos))].sum(axis=0).ravel()
+        moved = charge[a] - charge[b]
+        want = 0 if cols.label is None else rows.label - cols.label
+        if np.any(moved != want):
+            j = int(np.argmax(moved != want))
+            raise ValueError(
+                f"term on tensor factors {tuple(pos)} couples different sectors of the "
+                f"charges {tuple(cols.charges)}: its entry ({a[j]}, {b[j]}) moves the "
+                f"total charge by {moved[j]}, not {want}"
+            )
+    if rows is cols:
+        (at, sizes), (to, _) = cols._runs(pos, b, a)
+    else:
+        [(at, sizes)], [(to, _)] = cols._runs(pos, b), rows._runs(pos, a)
+    index = _index_dtype(max(rows.size, cols.size))
+    return np.repeat(M[a, b], sizes), (to.astype(index, copy=False), at.astype(index, copy=False))
 
 
-def _sum_csr(dimension: int, matrices):
-    """Sum of CSR matrices, consumed one at a time, by pairwise merges.
+def raising_map(raising, sector: Sector, image: Sector):
+    """CSR of sum_j S+_j, the single-site raising operator on every site,
+    from `sector` to `image`.  S+ moves the charge, so no two sites share
+    an entry, and the entries of all sites make one CSR."""
+    M = raising if raising.imag.any() else raising.real
+    parts = [_placed(M, (j,), sector, image) for j in range(sector.m)]
+    data, rows, cols = (np.concatenate(x) for x in zip(*((v, r, c) for v, (r, c) in parts)))
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=(image.size, sector.size))
+
+
+def _sum_csr(shape, matrices, bounds=None):
+    """The blocks of a sum of CSR matrices of one shape, consumed one at a
+    time, by pairwise merges: the square blocks between consecutive
+    `bounds` of a block-diagonal sum, or (bounds None) the whole sum.
 
     Partial sums of equal rank merge as in a binary counter, so n summands
     cost O(nnz log n) work and at most log2(n) partial sums are alive at
-    once; no triplet list of all summands is ever built.
+    once; no triplet list of all summands is ever built.  A partial sum of
+    at least as many summands as there are blocks is cut into its blocks,
+    and from then on merges a block at a time, so that the last merges
+    free their operands block by block instead of holding them next to the
+    whole result.
     """
+    cuts = [(0, None)] if bounds is None else list(zip(bounds, bounds[1:]))
+
+    def cut(A):
+        return [A] if bounds is None else [A[lo:hi, lo:hi] for lo, hi in cuts]
+
+    def add(X, Y):
+        if not (isinstance(X, list) or isinstance(Y, list)):
+            return X + Y
+        X, Y = (A if isinstance(A, list) else cut(A) for A in (X, Y))
+        return [X.pop(0) + Y.pop(0) for _ in cuts]
+
     stack = []
     for A in matrices:
         rank = 0
         while stack and stack[-1][0] == rank:
-            A = stack.pop()[1] + A
+            A = add(stack.pop()[1], A)
             rank += 1
-        stack.append((rank, A))
-    out = scipy.sparse.csr_array((dimension, dimension), dtype=np.float64)
-    for _, A in reversed(stack):
-        out = out + A
+        stack.append((rank, cut(A) if 2**rank >= len(cuts) and not isinstance(A, list) else A))
+    out = [
+        scipy.sparse.csr_array(shape if hi is None else (hi - lo, hi - lo), dtype=np.float64)
+        for lo, hi in cuts
+    ]
+    while stack:
+        out = add(out, stack.pop()[1])
     return out
 
 
@@ -267,14 +386,33 @@ class ManyBodyOperator:
         return len(self._mats)
 
     def sparse(self):
-        """The operator as a CSR matrix of `dtype`, assembled on first use and kept."""
+        """The operator on the full tensor basis as a CSR matrix of `dtype`,
+        assembled on first use and kept; the solvers use it only for an
+        operator without charges."""
         if self._csr is None:
-            m, d = len(self.site_list), self.d
-            self._csr = _sum_csr(
-                self.dimension,
-                (_embedded_term(M, pos, m, d) for pos, M in zip(self._positions, self._mats)),
-            )
+            self._csr = self.block(Sector(len(self.site_list), self.d))
         return self._csr
+
+    def block(self, sector: Sector, image: Sector | None = None):
+        """CSR of `dtype` with its columns on `sector` and its rows on `image`
+        (default `sector`); ValueError if a term couples different sectors."""
+        image = sector if image is None else image
+        shape = (image.size, sector.size)
+        terms = (
+            scipy.sparse.csr_array(_placed(M, pos, sector, image), shape=shape)
+            for pos, M in zip(self._positions, self._mats)
+        )
+        return _sum_csr(shape, terms)[0]
+
+    def blocks(self, sector: Sector):
+        """CSR of `dtype` of each charge block of `sector`, all states in
+        charge order, ascending charge: every term is placed once."""
+        shape = (sector.size, sector.size)
+        terms = (
+            scipy.sparse.csr_array(_placed(M, pos, sector, sector), shape=shape)
+            for pos, M in zip(self._positions, self._mats)
+        )
+        return _sum_csr(shape, terms, sector.bounds)
 
     def _cut_terms(self):
         """Per nonzero term, built on first use and kept: the state shape with
@@ -406,10 +544,13 @@ def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyO
 
 def _anticommutator(term1, term2, d: int):
     """{h1, h2} of two local terms as one matrix on the union of their sites,
-    each factor placed there by `_embedded_term` before the product."""
+    each factor placed there by `_placed` before the product."""
     union = tuple(dict.fromkeys(term1[0] + term2[0]))
+    full = Sector(len(union), d)
+    shape = (full.size, full.size)
     A, B = (
-        _embedded_term(M, [union.index(s) for s in sites], len(union), d).toarray()
+        scipy.sparse.csr_array(_placed(M, [union.index(s) for s in sites], full, full), shape=shape)
+        .toarray()
         for sites, M in (term1, term2)
     )
     return union, A @ B + B @ A

@@ -2,8 +2,10 @@
 
 The gap of a positive-semidefinite operator is its smallest eigenvalue
 strictly above the kernel tolerance; kernel multiplicity never enters.
-Every solve works on the operator's CSR matrix (`op.sparse()`), real when
-the model is real.  Dimensions up to `dense_limit` are densified and solved
+Every solve works on CSR blocks, real when the model is real, each
+assembled straight from the basis indices of its charge sector; the CSR
+on the full tensor basis (`op.sparse()`) is built only for an operator
+without charges.  Dimensions up to `dense_limit` are densified and solved
 by Hermitian `eigh` for only the lowest pairs asked for; larger ones use
 ARPACK's implicitly restarted Lanczos (which='SA') on the CSR itself, with
 a seeded start vector for determinism and a widened Krylov basis to
@@ -12,8 +14,8 @@ produce.  Residuals come from the matrix-free `apply`, a path independent
 of the CSR assembly.
 
 There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalues`
-and the inequality witness built on it.  `_sectors` picks the blocks, each
-a principal submatrix of the CSR, and a weight for each eigenvalue:
+and the inequality witness built on it.  `_sectors` builds the blocks it
+solves, and no others, and a weight for each eigenvalue:
 - no charges: the whole operator is one block, each eigenvalue weighs 1;
 - per-site charges (both built-ins conserve total S^z) but no S+: every
   total-charge block, each eigenvalue weighs 1;
@@ -54,7 +56,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, weighted_sum
+from gapcert.operators import DEFAULT_DENSE_LIMIT, Sector, raising_map, weighted_sum
 
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
@@ -163,42 +165,9 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     return vals[order], vecs[:, order]
 
 
-def _charge_labels(op):
-    """Total charge of every basis index; refuses an operator that couples two.
-
-    Each basis index is labelled by a running sum of the per-site charges;
-    a stored nonzero whose row and column labels differ is a coupling.
-    """
-    A = op.sparse()
-    labels = np.zeros(1, dtype=np.int64)
-    for _ in op.site_list:
-        labels = (labels[:, None] + np.asarray(op.charges, dtype=np.int64)).ravel()
-    rows = np.repeat(labels, np.diff(A.indptr))
-    if np.count_nonzero(A.data[rows != labels[A.indices]]):
-        raise ValueError(f"operator couples different sectors of its charges {op.charges}")
-    return labels
-
-
-def _raise_central(Sp, d: int, m: int, idx, up, V):
-    """(sum_j S+_j) V for columns V on the basis indices `idx`, as rows on `up`.
-
-    S+[a, b] on site j sends an index whose digit j is b to
-    index + (a - b) d^(m-1-j).  Every image lies in one charge block, whose
-    sorted indices `up` give the rows of W by np.searchsorted.
-    """
-    Sp = Sp if Sp.imag.any() else Sp.real
-    W = np.zeros((len(up), V.shape[1]), dtype=np.result_type(V, Sp))
-    for j in range(m):
-        stride = d ** (m - 1 - j)
-        digit = idx // stride % d
-        for a, b in zip(*np.nonzero(Sp)):
-            sel = np.flatnonzero(digit == b)
-            W[np.searchsorted(up, idx[sel] + (a - b) * stride)] += Sp[a, b] * V[sel]
-    return W
-
-
-def _multiplicities(raise_central, m0: float, vals, vecs, exhausted: bool):
-    """2S+1 of each central-block pair in the complete clusters of `vals`.
+def _multiplicities(raising, m0: float, vals, vecs, exhausted: bool):
+    """2S+1 of each central-block pair in the complete clusters of `vals`;
+    raising() is the CSR of S+ from the central block.
 
     A cluster is a run of eigenvalues each within CLUSTER_TOL of the next.
     The top cluster may be cut by k, so it is left out unless the block is
@@ -211,7 +180,7 @@ def _multiplicities(raise_central, m0: float, vals, vecs, exhausted: bool):
     bounds = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1).tolist(), len(vals)]
     if not exhausted:
         bounds.pop()
-    W = raise_central(vecs[:, : bounds[-1]])
+    W = raising() @ vecs[:, : bounds[-1]]
     gram = W.conj().T @ W
     weights = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -237,26 +206,32 @@ def _sectors(op):
 
     No charges: the operator's own CSR, unit weights.  Charges without S+:
     each total-charge block (ascending charge, indices in ascending order),
-    unit weights.  Charges with S+: the central block, the indices of the
-    smallest non-negative label `low`, weighed by `_multiplicities`; M0 =
-    low / step, with step the charge difference across any nonzero of S+.
+    unit weights; each term is placed once on every state in charge order.
+    Charges with S+: the central block, the states of the smallest
+    non-negative total charge `low`, weighed by `_multiplicities` with the
+    S+ map to the block of charge low + step, built on first use;
+    M0 = low / step, with step the charge difference across any nonzero of
+    S+.  No other block is built.
     """
-    A = op.sparse()
     if getattr(op, "charges", None) is None:
-        return [(A, slice(None), _unit_weights)]
-    labels = _charge_labels(op)
-    Sp = op.raising
+        return [(op.sparse(), slice(None), _unit_weights)]
+    m, d, Sp = len(op.site_list), op.d, op.raising
     if Sp is None:
-        order = np.argsort(labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(labels[order])) + 1
-        return [(A[idx][:, idx], idx, _unit_weights) for idx in np.split(order, cuts)]
-    low = labels[labels >= 0].min()
+        whole = Sector(m, d, op.charges)
+        blocks = zip(op.blocks(whole), whole.bounds, whole.bounds[1:])
+        return [(B, whole.indices[lo:hi], _unit_weights) for B, lo, hi in blocks]
+    totals = {0}
+    for _ in op.site_list:
+        totals = {t + q for t in totals for q in op.charges}
+    low = min(t for t in totals if t >= 0)
     a, b = (int(i[0]) for i in np.nonzero(Sp))
     step = op.charges[a] - op.charges[b]
-    idx = np.flatnonzero(labels == low)
-    up = np.flatnonzero(labels == low + step)
-    raise_central = functools.partial(_raise_central, Sp, op.d, len(op.site_list), idx, up)
-    return [(A[idx][:, idx], idx, functools.partial(_multiplicities, raise_central, low / step))]
+    central = Sector(m, d, op.charges, low)
+    raising = functools.cache(
+        functools.partial(raising_map, Sp, central, Sector(m, d, op.charges, low + step))
+    )
+    weigh = functools.partial(_multiplicities, raising, low / step)
+    return [(op.block(central), central.indices, weigh)]
 
 
 def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):

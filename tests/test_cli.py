@@ -665,7 +665,7 @@ VERIFY_GOLDEN = {
         ),
         "note: 4 class matrices not materialized; structural checks "
         "(assignment, term conservation) only",
-        "PASS",
+        "PASS (structure only: no numerical check ran)",
     ]),
 }
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gapcert import operators
 from gapcert.cli import main
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import ModelFormatError, aklt, heisenberg_ferro, load_model, save_model
-from gapcert.operators import ManyBodyOperator, NNInteraction, build_hamiltonian
+from gapcert.operators import ManyBodyOperator, NNInteraction, Sector, build_hamiltonian
 from gapcert.spectral import (
     EigenSolveConfig,
     GapUndefinedError,
@@ -71,6 +72,83 @@ class TestSectoredMatchesOneBlock:
             assert_allclose(rep.gap, whole.gap, rtol=0, atol=1e-10)
 
 
+def complex_spin_one():
+    """A complex projection that conserves the spin-1 charges (1, 0, -1) but
+    has no SU(2) symmetry: onto one random vector of the charge-0 states
+    |0 2>, |1 1>, |2 0> of two sites."""
+    rng = np.random.default_rng(5)
+    v = np.zeros(9, dtype=complex)
+    v[[2, 4, 6]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return NNInteraction(d=3, P=np.outer(v, v.conj()), charges=(1, 0, -1))
+
+
+def reloaded_aklt():
+    """aklt() as a model file reads back: its charges, but no S+."""
+    return NNInteraction(d=3, P=aklt().P, charges=aklt().charges)
+
+
+BLOCK_CASES = [
+    ("ferro chain 7", heisenberg_ferro, 7, False),
+    ("ferro ring 8", heisenberg_ferro, 8, True),
+    ("aklt chain 5", aklt, 5, False),
+    ("aklt ring 6", aklt, 6, True),
+    ("complex ring 5", complex_spin_one, 5, True),
+    ("reloaded aklt chain 5", reloaded_aklt, 5, False),
+]
+
+
+@pytest.mark.parametrize("name,factory,m,periodic", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+class TestBlockAssembly:
+    """Blocks built from their basis against the principal submatrices of the
+    full CSR of the same terms with the charges stripped: equal bit for bit,
+    since both sum each entry over the terms in the same order."""
+
+    def test_solved_blocks_are_principal_submatrices(self, name, factory, m, periodic):
+        H = hamiltonian(factory(), 1, m, periodic)
+        full = one_block(H).sparse()
+        blocks = _sectors(H)
+        assert len(blocks) == (1 if H.raising is not None else 2 * m * max(H.charges) + 1)
+        for B, idx, _ in blocks:
+            want = full[idx][:, idx]
+            assert B.dtype == want.dtype == H.dtype
+            assert np.array_equal(B.toarray(), want.toarray())
+
+    def test_every_charge_block_is_a_principal_submatrix(self, name, factory, m, periodic):
+        H = hamiltonian(factory(), 1, m, periodic)
+        full = one_block(H).sparse()
+        whole = Sector(m, H.d, H.charges)
+        assert sorted(whole.indices.tolist()) == list(range(H.dimension))
+        bounds = list(zip(whole.bounds, whole.bounds[1:]))
+        for B, (lo, hi) in zip(H.blocks(whole), bounds, strict=True):
+            idx = whole.indices[lo:hi]
+            assert np.array_equal(B.toarray(), full[idx][:, idx].toarray())
+            # the same block built on its own charge label
+            label = int(np.sum(np.array(H.charges)[list(np.unravel_index(idx[0], (H.d,) * m))]))
+            one = Sector(m, H.d, H.charges, label)
+            assert np.array_equal(one.indices, idx)
+            assert np.array_equal(H.block(one).toarray(), B.toarray())
+
+
+def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):
+    # the full tensor-basis CSR is placed only for an operator without charges
+    full_space = []
+    place = operators._placed
+
+    def spy(M, pos, cols, rows):
+        full_space.append(cols.charges is None)
+        return place(M, pos, cols, rows)
+
+    monkeypatch.setattr(operators, "_placed", spy)
+    save_model(aklt(), tmp_path / "aklt.model")
+    for model in ("heisenberg-ferro", "aklt", str(tmp_path / "aklt.model")):
+        assert main(["gap", "--model", model, "--n", "4"]) == 0
+    assert full_space and not any(full_space)
+    H = hamiltonian(heisenberg_ferro(), 1, 5, False)
+    spectral_gap(one_block(H))
+    assert any(full_space)
+
+
 class TestBlocks:
     def test_ferro_blocks_are_sz_sectors(self):
         # charges without S+, so every block is solved
@@ -96,6 +174,15 @@ class TestBlocks:
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
         op = ManyBodyOperator([(0,), (1,)], 2, [(((0,),), flip)], charges=(1, -1))
         with pytest.raises(ValueError, match="couples different sectors"):
+            spectral_gap(op)
+
+    def test_coupled_central_block_refused(self):
+        # the same flip with S+ declared: the central block alone refuses it
+        flip = np.array([[0, 1], [1, 0]], dtype=complex)
+        up = np.array([[0, 1], [0, 0]], dtype=complex)
+        sites = [(0,), (1,), (2,)]
+        op = ManyBodyOperator(sites, 2, [(((1,),), flip)], charges=(1, -1), raising=up)
+        with pytest.raises(ValueError, match=r"couples different sectors.*by -?2, not 0"):
             spectral_gap(op)
 
 

@@ -10,7 +10,13 @@ from gapcert import spectral
 from gapcert.cli import main
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import aklt, heisenberg_ferro, load_model, save_model
-from gapcert.operators import ManyBodyOperator, NNInteraction, build_hamiltonian
+from gapcert.operators import (
+    ManyBodyOperator,
+    NNInteraction,
+    Sector,
+    build_hamiltonian,
+    raising_map,
+)
 from gapcert.spectral import (
     KERNEL_TOL,
     EigenSolveConfig,
@@ -85,7 +91,7 @@ class TestOneSector:
     def test_raise_central_matches_full_space_apply(self, name, factory, m, central, blocks):
         # reference: the full-space sum of single-site S+ terms on the embedded columns
         H = chain(factory(), m)
-        labels = spectral._charge_labels(H)
+        labels = np.sum(np.array(H.charges)[np.indices((H.d,) * m).reshape(m, -1)], axis=0)
         low = labels[labels >= 0].min()
         a, b = np.argwhere(H.raising)[0]
         step = H.charges[a] - H.charges[b]
@@ -95,7 +101,9 @@ class TestOneSector:
         full[idx] = V
         raising = ManyBodyOperator(H.site_list, H.d, [((s,), H.raising) for s in H.site_list])
         want = raising.apply(full)
-        got = spectral._raise_central(H.raising, H.d, m, idx, up, V)
+        sectors = [Sector(m, H.d, H.charges, label) for label in (low, low + step)]
+        assert [s.indices.tolist() for s in sectors] == [idx.tolist(), up.tolist()]
+        got = raising_map(H.raising, *sectors) @ V
         assert_allclose(got, want[up], rtol=0, atol=1e-14)
         assert np.linalg.norm(want) == pytest.approx(np.linalg.norm(got), rel=1e-14)
 
@@ -160,8 +168,7 @@ class TestRefusals:
 
     def test_off_integer_multiplicity_exits_2(self, capsys, monkeypatch):
         # a raising operator 5% too long moves every |S+ v|^2 off S(S+1) - M0(M0+1)
-        raise_central = spectral._raise_central
-        monkeypatch.setattr(spectral, "_raise_central", lambda *a: 1.05 * raise_central(*a))
+        monkeypatch.setattr(spectral, "raising_map", lambda *a: 1.05 * raising_map(*a))
         rc = main(["gap", "--model", "heisenberg-ferro", "--n", "4"])
         assert rc == 2
         assert "not integers" in capsys.readouterr().err
