@@ -180,9 +180,11 @@ class Sector:
         self.size, self.indices, self.rank = d**m, None, None
         if charges is None:
             return
-        labels = np.zeros(1, dtype=np.int64)
+        # the smallest integer type that holds every total and their differences
+        q = np.asarray(charges, dtype=np.min_scalar_type(-2 * m * max(map(abs, charges))))
+        labels = np.zeros(1, dtype=q.dtype)
         for _ in range(m):
-            labels = (labels[:, None] + np.asarray(charges, dtype=np.int64)).ravel()
+            labels = (labels[:, None] + q).ravel()
         if label is None:
             self.indices = np.argsort(labels, kind="stable")
             cuts = np.flatnonzero(np.diff(labels[self.indices])) + 1
