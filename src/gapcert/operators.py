@@ -7,7 +7,7 @@ exactly real, complex128 otherwise.  Every solver works on scipy.sparse
 CSR blocks of that dtype, each assembled straight from the basis states
 of its charge sector (`Sector`) by index arithmetic: one placement
 routine, `_placed`, puts a local term on a sector and serves the blocks
-(`ManyBodyOperator.block`, `blocks`), the S+ map between two sectors
+(`ManyBodyOperator.blocks`), the S+ map between two sectors
 (`raising_map`) and the anticommutator patterns of `build_QR`.  The CSR on
 the full tensor basis (`sparse`) is built only for an operator without
 charges and for `dense_matrix`.  The matrix-free matvec
@@ -170,14 +170,15 @@ class Sector:
     Without `charges`: every index 0..d^m-1, in order.  With per-site
     integer `charges`: the states of total charge `label` in ascending
     index order (`indices`), or, for label None, every state ascending by
-    (total charge, index), so that the blocks of ascending charge follow
-    each other between consecutive `bounds`.
+    (total charge, index).  The blocks of a sector lie between consecutive
+    `bounds`: one block, unless label None splits the states by charge.
     """
 
     def __init__(self, m: int, d: int, charges=None, label=None):
         self.m, self.d, self.charges, self.label = m, d, charges, label
         self.strides = d ** (m - 1 - np.arange(m, dtype=np.int64))
         self.size, self.indices, self.rank = d**m, None, None
+        self.bounds = [0, self.size]
         if charges is None:
             return
         # the smallest integer type that holds every total and their differences
@@ -194,6 +195,7 @@ class Sector:
         else:
             self.indices = np.flatnonzero(labels == label)
             self.size = len(self.indices)
+            self.bounds = [0, self.size]
             digit = np.min_scalar_type(d - 1)
             self.digits = [(self.indices // s % d).astype(digit) for s in self.strides]
 
@@ -284,10 +286,9 @@ def raising_map(raising, sector: Sector, image: Sector):
     return scipy.sparse.csr_array((data, (rows, cols)), shape=(image.size, sector.size))
 
 
-def _sum_csr(shape, matrices, bounds=None):
-    """The blocks of a sum of CSR matrices of one shape, consumed one at a
-    time, by pairwise merges: the square blocks between consecutive
-    `bounds` of a block-diagonal sum, or (bounds None) the whole sum.
+def _sum_csr(matrices, bounds):
+    """The square blocks between consecutive `bounds` of a block-diagonal
+    sum of CSR matrices, consumed one at a time, by pairwise merges.
 
     Partial sums of equal rank merge as in a binary counter, so n summands
     cost O(nnz log n) work and at most log2(n) partial sums are alive at
@@ -297,10 +298,11 @@ def _sum_csr(shape, matrices, bounds=None):
     free their operands block by block instead of holding them next to the
     whole result.
     """
-    cuts = [(0, None)] if bounds is None else list(zip(bounds, bounds[1:]))
+    cuts = list(zip(bounds, bounds[1:]))
 
     def cut(A):
-        return [A] if bounds is None else [A[lo:hi, lo:hi] for lo, hi in cuts]
+        # a block that spans the whole matrix is the matrix, not a copy
+        return [A if hi - lo == A.shape[0] else A[lo:hi, lo:hi] for lo, hi in cuts]
 
     def add(X, Y):
         if not (isinstance(X, list) or isinstance(Y, list)):
@@ -315,10 +317,7 @@ def _sum_csr(shape, matrices, bounds=None):
             A = add(stack.pop()[1], A)
             rank += 1
         stack.append((rank, cut(A) if 2**rank >= len(cuts) and not isinstance(A, list) else A))
-    out = [
-        scipy.sparse.csr_array(shape if hi is None else (hi - lo, hi - lo), dtype=np.float64)
-        for lo, hi in cuts
-    ]
+    out = [scipy.sparse.csr_array((hi - lo, hi - lo), dtype=np.float64) for lo, hi in cuts]
     while stack:
         out = add(out, stack.pop()[1])
     return out
@@ -392,29 +391,19 @@ class ManyBodyOperator:
         assembled on first use and kept; the solvers use it only for an
         operator without charges."""
         if self._csr is None:
-            self._csr = self.block(Sector(len(self.site_list), self.d))
+            [self._csr] = self.blocks(Sector(len(self.site_list), self.d))
         return self._csr
 
-    def block(self, sector: Sector, image: Sector | None = None):
-        """CSR of `dtype` with its columns on `sector` and its rows on `image`
-        (default `sector`); ValueError if a term couples different sectors."""
-        image = sector if image is None else image
-        shape = (image.size, sector.size)
-        terms = (
-            scipy.sparse.csr_array(_placed(M, pos, sector, image), shape=shape)
-            for pos, M in zip(self._positions, self._mats)
-        )
-        return _sum_csr(shape, terms)[0]
-
     def blocks(self, sector: Sector):
-        """CSR of `dtype` of each charge block of `sector`, all states in
-        charge order, ascending charge: every term is placed once."""
+        """CSR of `dtype` of each block of `sector` (its one block, or every
+        charge block of all states in charge order, ascending charge), each
+        term placed once; ValueError if a term couples different sectors."""
         shape = (sector.size, sector.size)
         terms = (
             scipy.sparse.csr_array(_placed(M, pos, sector, sector), shape=shape)
             for pos, M in zip(self._positions, self._mats)
         )
-        return _sum_csr(shape, terms, sector.bounds)
+        return _sum_csr(terms, sector.bounds)
 
     def _cut_terms(self):
         """Per nonzero term, built on first use and kept: the state shape with

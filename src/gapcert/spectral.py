@@ -228,10 +228,11 @@ def _sectors(op):
     step = op.charges[a] - op.charges[b]
     central = Sector(m, d, op.charges, low)
     raising = functools.cache(
-        functools.partial(raising_map, Sp, central, Sector(m, d, op.charges, low + step))
+        lambda: raising_map(Sp, central, Sector(m, d, op.charges, low + step))
     )
     weigh = functools.partial(_multiplicities, raising, low / step)
-    return [(op.block(central), central.indices, weigh)]
+    [B] = op.blocks(central)
+    return [(B, central.indices, weigh)]
 
 
 def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):

@@ -127,7 +127,8 @@ class TestBlockAssembly:
             label = int(np.sum(np.array(H.charges)[list(np.unravel_index(idx[0], (H.d,) * m))]))
             one = Sector(m, H.d, H.charges, label)
             assert np.array_equal(one.indices, idx)
-            assert np.array_equal(H.block(one).toarray(), B.toarray())
+            [single] = H.blocks(one)
+            assert np.array_equal(single.toarray(), B.toarray())
 
 
 def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):
