@@ -62,7 +62,7 @@ from gapcert.spectral import (
     EigenSolveConfig,
     GapReport,
     check_operator_inequality,
-    lowest_eigenvalues,
+    lowest_eigenvalue,
     spectral_gap,
 )
 
@@ -366,7 +366,7 @@ def verify_proposition_key(
     With C[l, e] the times box l holds slot e, H_{B_l} = sum_e C[l, e] h_e
     and h_e^2 = h_e give A = sum_e G_ee h_e + sum_{e<f} G_ef {h_e, h_f},
     G = C^T C: the H, Q and R terms of `build_QR` weighted by G.  Each side
-    is one ManyBodyOperator with the model's charges, solved per block.
+    is one ManyBodyOperator with the model's charges and S+ (`weighted_sum`).
 
     The torus has (2N)^D sites, so full witnesses are only reachable far
     below the criterion's own regime (N >= 2n+1, D >= 3); out-of-regime
@@ -404,7 +404,7 @@ def verify_proposition_key(
         box_ops.append(build_hamiltonian(model, box, torus_sites))
     G = C.T @ C
     q, r = (G[tuple(pairs.T)] for pairs in (dec.q_pairs, dec.r_pairs))
-    A = weighted_sum([(G.diagonal(), H), (q, dec.Q), (r, dec.R)], model.charges)
+    A = weighted_sum([(G.diagonal(), H), (q, dec.Q), (r, dec.R)])
 
     gamma_box = subsystem_gap(model, D, n + 1, config=config).gap
 
@@ -412,9 +412,9 @@ def verify_proposition_key(
     c_extra = 2.0 * (n + 1) ** (D - 2)
     c_bent = float(n**2) * (n + 1) ** (D - 2)
 
-    rhs1 = weighted_sum([(c_edge + c_extra, H), (c_bent, dec.Q), (c_bent, dec.R)], model.charges)
+    rhs1 = weighted_sum([(c_edge + c_extra, H), (c_bent, dec.Q), (c_bent, dec.R)])
     ok1, w1 = check_operator_inequality(rhs1, A, tol=tol, config=config)
-    rhs2 = weighted_sum([(c_edge * gamma_box, H)], model.charges)
+    rhs2 = weighted_sum([(c_edge * gamma_box, H)])
     ok2, w2 = check_operator_inequality(A, rhs2, tol=tol, config=config)
 
     S = CompositeOperator(dim, [(1.0, (B,)) for B in box_ops])
@@ -476,11 +476,9 @@ def aligned_pair_witness(
 
     On a ring every touching pair is aligned, so Q is exactly the aligned
     anticommutator sum and nonnegativity of 2H + Q is the aggregated
-    operator Cauchy-Schwarz bound -Q <= 2H.  It keeps H's charges and S+.
+    operator Cauchy-Schwarz bound -Q <= 2H.  With S+ one block is solved.
     """
     if m < 3:
         raise ValueError(f"ring needs m >= 3 sites, got {m}")
     dec = build_QR(model, grid_edges(1, m, periodic=True), grid_sites(1, m))
-    lhs = weighted_sum([(2.0, dec.H), (1.0, dec.Q)], model.charges, model.raising)
-    pairs = lowest_eigenvalues(lhs, config)
-    return float(pairs[0][0])
+    return lowest_eigenvalue(weighted_sum([(2.0, dec.H), (1.0, dec.Q)]), config)

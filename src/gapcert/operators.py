@@ -20,9 +20,9 @@ convention: site order follows the site list, with the first site the
 most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
 the layout np.kron produces.  An interaction may declare per-site charges
 whose pair sum P conserves, and the single-site S+ of an SU(2) symmetry
-of P; `build_hamiltonian` hands both to the operator, and the spectral
-solvers then split it into total-charge blocks, or solve only its central
-block when S+ is declared.
+of P; `build_hamiltonian` and `build_QR` hand both to their operators,
+and the spectral solvers then split one into total-charge blocks, or
+solve only its central block when S+ is declared.
 
 `weighted_sum` builds sum c * op as one operator.  `CompositeOperator` is
 only a matrix-free sum of operator products (no CSR, no arithmetic).
@@ -483,13 +483,16 @@ class CompositeOperator:
         return out
 
 
-def weighted_sum(parts, charges=None, raising=None) -> ManyBodyOperator:
-    """sum of c * op over (c, op) in `parts` as one ManyBodyOperator with the
-    given charges and S+; ValueError unless all ops share one site list and d.
-    c is a number or one weight per term.  Terms of weight 0 are dropped, the
-    rest are scaled by their weights and keep their order, except that a term
-    on the sites of a term of an earlier part is added into that term."""
-    site_list, d = parts[0][1].site_list, parts[0][1].d
+def weighted_sum(parts) -> ManyBodyOperator:
+    """sum of c * op over (c, op) in `parts` as one ManyBodyOperator; ValueError
+    unless all ops share one site list and d.  c is a number or one weight per
+    term.  Terms of weight 0 are dropped, the rest are scaled by their weights
+    and keep their order, except that a term on the sites of a term of an
+    earlier part is added into that term.  The sum keeps the charges, and with
+    them the S+, that all parts declare alike: each term keeps both, whatever
+    its weight."""
+    first = parts[0][1]
+    site_list, d = first.site_list, first.d
     terms, where = [], {}
     for c, op in parts:
         if op.site_list != site_list or op.d != d:
@@ -505,7 +508,10 @@ def weighted_sum(parts, charges=None, raising=None) -> ManyBodyOperator:
             elif w:
                 where[sites_of_term] = len(terms)
                 terms.append((sites_of_term, w * M))
-    return ManyBodyOperator(site_list, d, terms, charges, raising)
+    alike = [all(np.array_equal(getattr(op, s), getattr(first, s)) for _, op in parts)
+             for s in ("charges", "raising")]
+    charges = first.charges if alike[0] else None
+    return ManyBodyOperator(site_list, d, terms, charges, first.raising if all(alike) else None)
 
 
 @dataclass
@@ -576,8 +582,8 @@ def build_QR(interaction: NNInteraction, edges, site_list) -> TermDecomposition:
     pairs = np.column_stack((first, second))
     return TermDecomposition(
         H=H,
-        Q=ManyBodyOperator(H.site_list, H.d, q_terms),
-        R=ManyBodyOperator(H.site_list, H.d, r_terms),
+        Q=ManyBodyOperator(H.site_list, H.d, q_terms, H.charges, H.raising),
+        R=ManyBodyOperator(H.site_list, H.d, r_terms, H.charges, H.raising),
         q_pairs=pairs[~disjoint],
         r_pairs=pairs[disjoint],
     )

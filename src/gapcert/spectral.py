@@ -13,7 +13,7 @@ resolve the clustered near-zero spectra frustration-free Hamiltonians
 produce.  Residuals come from the matrix-free `apply`, a path independent
 of the CSR assembly.
 
-There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalues`
+There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalue`
 and the inequality witness built on it.  `_sectors` builds the blocks it
 solves, and no others, and a weight for each eigenvalue:
 - no charges: the whole operator is one block, each eigenvalue weighs 1;
@@ -31,9 +31,11 @@ k widens until a block's weights reach max(k, kernel + 1) or the block is
 exhausted.  The whole dimension against the dense limit picks the path of
 every block; an iterative block too small for ARPACK to reach far enough,
 or one of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is
-solved by dense `eigh`.  The lowest values over all blocks are merged,
-each repeated by its weight with the residual of its eigenvector embedded
-back into the full space.
+solved by dense `eigh`.  `spectral_gap` merges the lowest values over all
+blocks, each repeated by its weight with the residual of its eigenvector
+embedded back into the full space.  `lowest_eigenvalue` takes the least
+first value over the blocks, which needs no weight: the central block
+alone holds a member of every multiplet.
 
 The kernel dimension is exact on the dense path, where every cluster is
 whole.  On the iterative path it is exact when ARPACK resolves every
@@ -319,17 +321,16 @@ def _merge_lowest(op, solved, count: int):
     return np.array([v for v, _, _ in copies]), [residual[b, c] for _, b, c in copies]
 
 
-def lowest_eigenvalues(op, config: EigenSolveConfig | None = None):
-    """The k smallest eigenvalues of a Hermitian operator, with residuals.
-
-    Returns [(eigenvalue, residual)] ascending, every eigenvalue a real float,
-    min(config.k, dimension) of them: the report of `spectral_gap` with no
-    kernel (kernel_tol = -inf).  An ARPACK run that stops before all its
-    pairs converge raises SolverConvergenceError: the pairs it did converge
-    are not known to be the lowest, so they are never returned.
-    """
-    report = spectral_gap(op, -np.inf, config)
-    return list(zip(report.eigenvalues, report.residuals))
+def lowest_eigenvalue(op, config: EigenSolveConfig | None = None) -> float:
+    """The smallest eigenvalue of a Hermitian operator, as a float: the least
+    first value of the blocks of `_sectors`, each solved with no kernel and
+    unit weights, so no S+ map is built and no residual computed."""
+    config = config or DEFAULT_CONFIG
+    iterative = op.dimension > config.dense_limit
+    return min(
+        float(_block_lowest(B, config, iterative, -np.inf, _unit_weights)[0][0])
+        for B, _, _ in _sectors(op)
+    )
 
 
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
@@ -361,17 +362,8 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
     )
 
 
-def check_operator_inequality(
-    lhs,
-    rhs,
-    tol: float = 1e-9,
-    config: EigenSolveConfig | None = None,
-):
-    """Witness for lhs >= rhs: (min_eig(lhs - rhs) >= -tol, that eigenvalue).
-
-    lhs - rhs (`weighted_sum`) keeps the sides' charges if equal but never S+,
-    whose 2S+1 guard refuses the zero cluster of rhs - A on the 4x4 torus."""
-    charges = lhs.charges if lhs.charges == rhs.charges else None
-    diff = weighted_sum([(1.0, lhs), (-1.0, rhs)], charges)
-    witness = float(lowest_eigenvalues(diff, config)[0][0])
+def check_operator_inequality(lhs, rhs, tol: float = 1e-9, config: EigenSolveConfig | None = None):
+    """Witness for lhs >= rhs: (min_eig(lhs - rhs) >= -tol, that eigenvalue);
+    lhs - rhs keeps the charges and S+ that both sides declare (`weighted_sum`)."""
+    witness = lowest_eigenvalue(weighted_sum([(1.0, lhs), (-1.0, rhs)]), config)
     return witness >= -tol, witness

@@ -37,8 +37,8 @@ def test_chains_run_ends_in_a_result_line():
 
 
 def test_traced_chains_run_reports_every_per_layer_metric():
-    # the tracer finds functions by name, so a renamed or deleted one drops
-    # its metrics from the result instead of failing the run
+    # the tracer finds functions by name; renaming or deleting one that a
+    # declared per-layer metric needs leaves that metric out, and this fails
     result, declared = _run_chains(trace=1)
     assert result["correct"] is True
     missing = [m["name"] for m in declared["per_layer"] if m["name"] not in result["metrics"]]

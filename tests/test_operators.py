@@ -24,6 +24,7 @@ from gapcert.operators import (
     DimensionLimitError,
     ManyBodyOperator,
     NNInteraction,
+    Sector,
     build_QR,
     build_hamiltonian,
     cauchy_schwarz_witness,
@@ -224,11 +225,28 @@ class TestWeightedSum:
         assert [s for s, _ in op.terms] == [s for s, _ in dec.H.terms] + unions
 
     def test_declares_what_it_is_given(self):
-        H = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))
-        assert weighted_sum([(2.0, H)]).charges is None
-        op = weighted_sum([(2.0, H)], FERRO.charges, FERRO.raising)
+        # a sum keeps the charges and S+ that all its parts declare alike
+        dec = build_QR(FERRO, grid_edges(1, 4, periodic=True), grid_sites(1, 4))
+        for op in (dec.Q, dec.R):
+            assert op.charges == FERRO.charges
+            assert_allclose(op.raising, FERRO.raising)
+            # no Q or R term couples different sectors: each charge block of
+            # all states in charge order is a principal submatrix
+            whole = Sector(4, 2, FERRO.charges)
+            full = dense_matrix(op)[np.ix_(whole.indices, whole.indices)]
+            for B, lo, hi in zip(op.blocks(whole), whole.bounds, whole.bounds[1:]):
+                assert_allclose(B.toarray(), full[lo:hi, lo:hi], rtol=0, atol=0)
+        weights = np.arange(dec.Q.n_terms, dtype=float)
+        op = weighted_sum([(2.0, dec.H), (weights, dec.Q), (-1.0, dec.R)])
         assert op.charges == FERRO.charges
         assert_allclose(op.raising, FERRO.raising)
+        H = dec.H
+        no_raising = ManyBodyOperator(H.site_list, H.d, H.terms, H.charges)
+        op = weighted_sum([(1.0, dec.Q), (1.0, no_raising)])
+        assert op.charges == FERRO.charges and op.raising is None
+        plain = ManyBodyOperator(H.site_list, H.d, H.terms)
+        op = weighted_sum([(1.0, dec.Q), (1.0, plain)])
+        assert op.charges is None and op.raising is None
 
     def test_different_spaces_refused(self):
         H3 = build_hamiltonian(FERRO, grid_edges(1, 3), grid_sites(1, 3))

@@ -11,7 +11,7 @@ from gapcert.spectral import (
     GapUndefinedError,
     SolverConvergenceError,
     check_operator_inequality,
-    lowest_eigenvalues,
+    lowest_eigenvalue,
     spectral_gap,
 )
 
@@ -30,38 +30,37 @@ def ferro_chain(m):
 
 
 class TestLowestEigenvalues:
+    # the lowest k eigenvalues are the report of spectral_gap with no kernel
     def test_dense_ascending_with_residuals(self):
-        pairs = lowest_eigenvalues(ferro_chain(4))
-        vals = [v for v, _ in pairs]
-        assert vals == sorted(vals)
-        assert len(pairs) == 8
-        assert all(r <= 1e-10 for _, r in pairs)
+        rep = spectral_gap(ferro_chain(4), -np.inf)
+        assert rep.eigenvalues == sorted(rep.eigenvalues)
+        assert len(rep.eigenvalues) == 8
+        assert max(rep.residuals) <= 1e-10
 
     def test_k_capped_at_dimension(self):
-        pairs = lowest_eigenvalues(diag_op([0.0, 1.0, 2.0]), EigenSolveConfig(k=8))
-        assert_allclose([v for v, _ in pairs], [0.0, 1.0, 2.0], atol=1e-14)
+        rep = spectral_gap(diag_op([0.0, 1.0, 2.0]), -np.inf, EigenSolveConfig(k=8))
+        assert_allclose(rep.eigenvalues, [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_iterative_matches_dense(self):
         # Lanczos may not resolve the full kernel multiplicity, so compare
         # spectrum membership rather than the sorted lists elementwise
         H = ferro_chain(8)
-        dense = [v for v, _ in lowest_eigenvalues(H, EigenSolveConfig(k=24))]
-        iterative = lowest_eigenvalues(H, EigenSolveConfig(k=12, dense_limit=1))
-        for v, r in iterative:
+        dense = spectral_gap(H, -np.inf, EigenSolveConfig(k=24)).eigenvalues
+        iterative = spectral_gap(H, -np.inf, EigenSolveConfig(k=12, dense_limit=1))
+        for v, r in zip(iterative.eigenvalues, iterative.residuals):
             assert min(abs(v - w) for w in dense) <= 1e-8
             assert r <= 1e-6
 
     def test_iterative_deterministic(self):
         H = ferro_chain(6)
         cfg = EigenSolveConfig(k=4, dense_limit=1, seed=13)
-        p1 = lowest_eigenvalues(H, cfg)
-        p2 = lowest_eigenvalues(H, cfg)
-        assert [v for v, _ in p1] == [v for v, _ in p2]
+        runs = [spectral_gap(H, -np.inf, cfg).eigenvalues for _ in range(2)]
+        assert runs[0] == runs[1]
 
     def test_iterative_k_past_arpack_solves_dense(self):
         # ARPACK needs k <= dim - 2; past that the block goes to dense eigh
-        pairs = lowest_eigenvalues(diag_op([0.0, 1.0]), EigenSolveConfig(k=2, dense_limit=1))
-        assert [v for v, _ in pairs] == [0.0, 1.0]
+        rep = spectral_gap(diag_op([0.0, 1.0]), -np.inf, EigenSolveConfig(k=2, dense_limit=1))
+        assert rep.eigenvalues == [0.0, 1.0]
 
     @pytest.mark.parametrize(
         "model, D, side",
@@ -74,24 +73,30 @@ class TestLowestEigenvalues:
         H = build_hamiltonian(model, grid_edges(D, side, periodic=True), grid_sites(D, side))
         plain = ManyBodyOperator(H.site_list, H.d, H.terms)
         assert H.charges is not None and plain.charges is None
-        want = [v for v, _ in lowest_eigenvalues(plain, EigenSolveConfig(k=12))]
+        want = spectral_gap(plain, -np.inf, EigenSolveConfig(k=12)).eigenvalues
         assert len(want) == 12
         for dense_limit, atol in ((4096, 1e-12), (1, 1e-10)):
-            pairs = lowest_eigenvalues(H, EigenSolveConfig(k=12, dense_limit=dense_limit))
-            assert_allclose([v for v, _ in pairs], want, rtol=0, atol=atol)
-            assert all(r <= 1e-10 for _, r in pairs)
+            cfg = EigenSolveConfig(k=12, dense_limit=dense_limit)
+            rep = spectral_gap(H, -np.inf, cfg)
+            assert_allclose(rep.eigenvalues, want, rtol=0, atol=atol)
+            assert max(rep.residuals) <= 1e-10
+            for op in (H, plain):
+                assert abs(lowest_eigenvalue(op, cfg) - want[0]) <= atol
 
     def test_no_convergence_raises(self):
         H = ferro_chain(8)
+        cfg = EigenSolveConfig(k=8, dense_limit=1, max_iter=1)
         with pytest.raises(SolverConvergenceError):
-            lowest_eigenvalues(H, EigenSolveConfig(k=8, dense_limit=1, max_iter=1))
+            spectral_gap(H, -np.inf, cfg)
+        with pytest.raises(SolverConvergenceError):
+            lowest_eigenvalue(H, cfg)
 
     def test_eigenvalues_are_floats(self):
         H = ferro_chain(6)
         for cfg in (EigenSolveConfig(k=4), EigenSolveConfig(k=4, dense_limit=1)):
-            for v, r in lowest_eigenvalues(H, cfg):
+            rep = spectral_gap(H, -np.inf, cfg)
+            for v in rep.eigenvalues + rep.residuals + [lowest_eigenvalue(H, cfg)]:
                 assert type(v) is float
-                assert type(r) is float
 
 
 class TestSpectralGap:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gapcert import spectral
 from gapcert.cli import main
+from gapcert.criteria import aligned_pair_witness, verify_proposition_key
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import aklt, heisenberg_ferro, load_model, save_model
 from gapcert.operators import (
@@ -22,7 +23,7 @@ from gapcert.spectral import (
     EigenSolveConfig,
     _residuals,
     _solve_blocks,
-    lowest_eigenvalues,
+    lowest_eigenvalue,
     spectral_gap,
 )
 
@@ -67,9 +68,10 @@ class TestOneSector:
     def test_lowest_matches_one_block(self, name, factory, m, central, blocks):
         H = chain(factory(), m)
         cfg = EigenSolveConfig(k=20)
-        want = [v for v, _ in lowest_eigenvalues(one_block(H), cfg)]
-        got = [v for v, _ in lowest_eigenvalues(H, cfg)]
+        want = spectral_gap(one_block(H), -np.inf, cfg).eigenvalues
+        got = spectral_gap(H, -np.inf, cfg).eigenvalues
         assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(lowest_eigenvalue(H, cfg) - want[0]) <= 1e-12
 
     def test_solves_one_block(self, name, factory, m, central, blocks, monkeypatch):
         seen = []
@@ -125,6 +127,54 @@ def test_reloaded_model_solves_all_blocks(tmp_path):
     want, got = spectral_gap(chain(aklt(), 5)), spectral_gap(chain(back, 5))
     assert got.kernel_dim == want.kernel_dim
     assert_allclose(got.gap, want.gap, rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """The block sizes `_block_lowest` is given with no kernel (the witness
+    solves), and a count of the S+ maps built."""
+    seen = {"witness blocks": [], "raising maps": 0}
+    block_lowest, raising = spectral._block_lowest, spectral.raising_map
+
+    def spy_block(B, config, iterative, kernel_tol, weigh):
+        if kernel_tol == -np.inf:
+            seen["witness blocks"].append(B.shape[0])
+        return block_lowest(B, config, iterative, kernel_tol, weigh)
+
+    def spy_raising(*args):
+        seen["raising maps"] += 1
+        return raising(*args)
+
+    monkeypatch.setattr(spectral, "_block_lowest", spy_block)
+    monkeypatch.setattr(spectral, "raising_map", spy_raising)
+    return seen
+
+
+class TestWitnessSolvesOneBlock:
+    def test_prop_key_witnesses(self, spies):
+        # the 2x2 torus: 4 sites, central block C(4, 2) = 6 of 5 charge blocks
+        rep = verify_proposition_key(heisenberg_ferro(), 2, 1, 1)
+        assert rep.passed
+        assert spies["witness blocks"] == [6, 6]
+
+    def test_aligned_builds_no_raising_map(self, spies):
+        H = build_hamiltonian(aklt(), grid_edges(1, 6, periodic=True), grid_sites(1, 6))
+        central = Sector(6, 3, H.charges, 0).size
+        w = aligned_pair_witness(aklt(), 6)
+        assert spies["witness blocks"] == [central]
+        assert spies["raising maps"] == 0
+        spectral_gap(H)  # the gap weighs by 2S+1, so it does build the map
+        assert spies["raising maps"] == 1
+        assert w >= -1e-10
+
+    def test_reloaded_model_solves_every_charge_block(self, spies, tmp_path):
+        path = tmp_path / "aklt.model"
+        save_model(aklt(), path)
+        back = load_model(path)
+        assert back.raising is None
+        w = aligned_pair_witness(back, 5)
+        assert len(spies["witness blocks"]) == 11 and sum(spies["witness blocks"]) == 3**5
+        assert abs(w - aligned_pair_witness(aklt(), 5)) <= 1e-12
 
 
 def test_batched_residuals_match_column_loop():
