@@ -101,16 +101,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dense_limit(cfg: argparse.Namespace) -> int:
-    """--dense-limit, else GAPCERT_DENSE_LIMIT, else DEFAULT_DENSE_LIMIT."""
-    if cfg.dense_limit is not None:
-        return cfg.dense_limit
-    env = os.environ.get("GAPCERT_DENSE_LIMIT")
-    if env is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"GAPCERT_DENSE_LIMIT must be an integer, got {env!r}") from None
+    """--dense-limit, else GAPCERT_DENSE_LIMIT, else DEFAULT_DENSE_LIMIT;
+    ValueError below 0."""
+    source, limit = "--dense-limit", cfg.dense_limit
+    if limit is None:
+        source, env = "GAPCERT_DENSE_LIMIT", os.environ.get("GAPCERT_DENSE_LIMIT")
+        if env is None:
+            return DEFAULT_DENSE_LIMIT
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ValueError(f"GAPCERT_DENSE_LIMIT must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"{source} must be >= 0, got {limit}")
+    return limit
 
 
 def _solver_config(cfg: argparse.Namespace) -> EigenSolveConfig:
@@ -404,10 +408,16 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         raise ValueError(f"--n-from must be >= 1, got {cfg.n_from}")
     if cfg.n_to < cfg.n_from:
         raise ValueError(f"empty sweep range: n-from {cfg.n_from} > n-to {cfg.n_to}")
+    periodic = cfg.boundary == "periodic"
+    if cfg.D < 1:
+        raise ValueError(f"--D must be >= 1, got {cfg.D}")
+    if periodic and cfg.n_from < 2:
+        raise ValueError(f"a periodic sweep needs --n-from >= 2, got {cfg.n_from}")
     model = _nn_model(cfg)
     config = _solver_config(cfg)
-    periodic = cfg.boundary == "periodic"
-    # --out is opened before the first solve: an unwritable path costs none
+    # every config error is raised above, so it never empties an existing
+    # --out; and --out is opened before the first solve, so an unwritable
+    # path costs none
     with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
         lines = [CSV_HEADER]
         comments = []

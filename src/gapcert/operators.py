@@ -7,7 +7,7 @@ exactly real, complex128 otherwise.  Every solver works on scipy.sparse
 CSR blocks of that dtype, each assembled straight from the basis states
 of its charge sector (`Sector`) by index arithmetic: one placement
 routine, `_placed`, puts a local term on a sector and serves the blocks
-(`ManyBodyOperator.blocks`), the S+ map between two sectors
+(`ManyBodyOperator.block`), the S+ map between two sectors
 (`raising_map`) and the anticommutator patterns of `build_QR`.  The CSR on
 the full tensor basis (`sparse`) is built only for an operator without
 charges and for `dense_matrix`.  The matrix-free matvec
@@ -21,8 +21,8 @@ most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
 the layout np.kron produces.  An interaction may declare per-site charges
 whose pair sum P conserves, and the single-site S+ of an SU(2) symmetry
 of P; `build_hamiltonian` and `build_QR` hand both to their operators,
-and the spectral solvers then split one into total-charge blocks, or
-solve only its central block when S+ is declared.
+and the spectral solvers then build and solve one total-charge block at a
+time, or only the central block when S+ is declared.
 
 `weighted_sum` builds sum c * op as one operator.  `CompositeOperator` is
 only a matrix-free sum of operator products (no CSR, no arithmetic).
@@ -168,17 +168,14 @@ class Sector:
     """The basis states of m sites of dimension d that a block is built on.
 
     Without `charges`: every index 0..d^m-1, in order.  With per-site
-    integer `charges`: the states of total charge `label` in ascending
-    index order (`indices`), or, for label None, every state ascending by
-    (total charge, index).  The blocks of a sector lie between consecutive
-    `bounds`: one block, unless label None splits the states by charge.
+    integer `charges`: the states of total charge `label`, in ascending
+    index order (`indices`), and the digit of each of them on every site.
     """
 
     def __init__(self, m: int, d: int, charges=None, label=None):
         self.m, self.d, self.charges, self.label = m, d, charges, label
         self.strides = d ** (m - 1 - np.arange(m, dtype=np.int64))
-        self.size, self.indices, self.rank = d**m, None, None
-        self.bounds = [0, self.size]
+        self.size, self.indices = d**m, None
         if charges is None:
             return
         # the smallest integer type that holds every total and their differences
@@ -186,18 +183,10 @@ class Sector:
         labels = np.zeros(1, dtype=q.dtype)
         for _ in range(m):
             labels = (labels[:, None] + q).ravel()
-        if label is None:
-            self.indices = np.argsort(labels, kind="stable")
-            cuts = np.flatnonzero(np.diff(labels[self.indices])) + 1
-            self.bounds = [0, *cuts.tolist(), self.size]
-            self.rank = np.empty(self.size, dtype=_index_dtype(self.size))
-            self.rank[self.indices] = np.arange(self.size)
-        else:
-            self.indices = np.flatnonzero(labels == label)
-            self.size = len(self.indices)
-            self.bounds = [0, self.size]
-            digit = np.min_scalar_type(d - 1)
-            self.digits = [(self.indices // s % d).astype(digit) for s in self.strides]
+        self.indices = np.flatnonzero(labels == label)
+        self.size = len(self.indices)
+        digit = np.min_scalar_type(d - 1)
+        self.digits = [(self.indices // s % d).astype(digit) for s in self.strides]
 
     def _offsets(self, sites):
         """Index of each digit pattern on the tensor factors `sites`, all
@@ -212,13 +201,11 @@ class Sector:
         positions of the states that spell each pattern in turn, each run in
         index order, and the run lengths."""
         d, k = self.d, len(pos)
-        if self.label is None:  # every state, in index or charge order
+        if self.charges is None:  # every state, in index order
             base = self._offsets([i for i in range(self.m) if i not in pos])
             off = self._offsets(pos)
-            runs = [(off[x][:, None] + base).ravel() for x in patterns]
-            if self.rank is not None:
-                runs = [self.rank[at] for at in runs]
-            return [(at, np.full(len(x), base.size)) for at, x in zip(runs, patterns)]
+            return [((off[x][:, None] + base).ravel(), np.full(len(x), base.size))
+                    for x in patterns]
         local = np.zeros(self.size, dtype=np.min_scalar_type(d**k - 1))
         for p in pos:
             local = local * d + self.digits[p]
@@ -246,8 +233,7 @@ def _placed(M, pos, cols: Sector, rows: Sector):
 
     Entry (a, b) of M sends each state whose digits at `pos` spell b to
     index + off[a] - off[b], and moves its total charge by a fixed amount.
-    An entry that does not move `cols` onto `rows` (every sector onto
-    itself, when the sectors are all states in charge order) is refused:
+    An entry that does not move it by rows.label - cols.label is refused:
     the term couples different sectors.  Otherwise the images of the
     pattern-b run of `cols` are the pattern-a run of `rows`, in order.
     The entries come in ascending off[b], so each row's columns ascend and
@@ -260,7 +246,7 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     if cols.charges is not None:
         charge = np.asarray(cols.charges)[np.indices((cols.d,) * len(pos))].sum(axis=0).ravel()
         moved = charge[a] - charge[b]
-        want = 0 if cols.label is None else rows.label - cols.label
+        want = rows.label - cols.label
         if np.any(moved != want):
             j = int(np.argmax(moved != want))
             raise ValueError(
@@ -286,40 +272,21 @@ def raising_map(raising, sector: Sector, image: Sector):
     return scipy.sparse.csr_array((data, (rows, cols)), shape=(image.size, sector.size))
 
 
-def _sum_csr(matrices, bounds):
-    """The square blocks between consecutive `bounds` of a block-diagonal
-    sum of CSR matrices, consumed one at a time, by pairwise merges.
-
-    Partial sums of equal rank merge as in a binary counter, so n summands
-    cost O(nnz log n) work and at most log2(n) partial sums are alive at
-    once; no triplet list of all summands is ever built.  A partial sum of
-    at least as many summands as there are blocks is cut into its blocks,
-    and from then on merges a block at a time, so that the last merges
-    free their operands block by block instead of holding them next to the
-    whole result.
-    """
-    cuts = list(zip(bounds, bounds[1:]))
-
-    def cut(A):
-        # a block that spans the whole matrix is the matrix, not a copy
-        return [A if hi - lo == A.shape[0] else A[lo:hi, lo:hi] for lo, hi in cuts]
-
-    def add(X, Y):
-        if not (isinstance(X, list) or isinstance(Y, list)):
-            return X + Y
-        X, Y = (A if isinstance(A, list) else cut(A) for A in (X, Y))
-        return [X.pop(0) + Y.pop(0) for _ in cuts]
-
+def _sum_csr(matrices, n: int):
+    """The sum of n x n CSR matrices, consumed one at a time, by pairwise
+    merges: partial sums of equal rank merge as in a binary counter, so t
+    summands cost O(nnz log t) work and at most log2(t) partial sums are
+    alive at once; no triplet list of all summands is ever built."""
     stack = []
     for A in matrices:
         rank = 0
         while stack and stack[-1][0] == rank:
-            A = add(stack.pop()[1], A)
+            A = stack.pop()[1] + A
             rank += 1
-        stack.append((rank, cut(A) if 2**rank >= len(cuts) and not isinstance(A, list) else A))
-    out = [scipy.sparse.csr_array((hi - lo, hi - lo), dtype=np.float64) for lo, hi in cuts]
+        stack.append((rank, A))
+    out = scipy.sparse.csr_array((n, n), dtype=np.float64)
     while stack:
-        out = add(out, stack.pop()[1])
+        out = out + stack.pop()[1]
     return out
 
 
@@ -391,19 +358,18 @@ class ManyBodyOperator:
         assembled on first use and kept; the solvers use it only for an
         operator without charges."""
         if self._csr is None:
-            [self._csr] = self.blocks(Sector(len(self.site_list), self.d))
+            self._csr = self.block(Sector(len(self.site_list), self.d))
         return self._csr
 
-    def blocks(self, sector: Sector):
-        """CSR of `dtype` of each block of `sector` (its one block, or every
-        charge block of all states in charge order, ascending charge), each
-        term placed once; ValueError if a term couples different sectors."""
+    def block(self, sector: Sector):
+        """CSR of `dtype` of the operator on the states of `sector`, each term
+        placed once; ValueError if a term couples different sectors."""
         shape = (sector.size, sector.size)
         terms = (
             scipy.sparse.csr_array(_placed(M, pos, sector, sector), shape=shape)
             for pos, M in zip(self._positions, self._mats)
         )
-        return _sum_csr(terms, sector.bounds)
+        return _sum_csr(terms, sector.size)
 
     def _cut_terms(self):
         """Per nonzero term, built on first use and kept: the state shape with

@@ -3,7 +3,7 @@
 The gap of a positive-semidefinite operator is its smallest eigenvalue
 strictly above the kernel tolerance; kernel multiplicity never enters.
 Every solve works on CSR blocks, real when the model is real, each
-assembled straight from the basis indices of its charge sector; the CSR
+assembled straight from the basis indices of one total charge; the CSR
 on the full tensor basis (`op.sparse()`) is built only for an operator
 without charges.  Dimensions up to `dense_limit` are densified and solved
 by Hermitian `eigh` for only the lowest pairs asked for; larger ones use
@@ -18,7 +18,8 @@ and the inequality witness built on it.  `_sectors` builds the blocks it
 solves, and no others, and a weight for each eigenvalue:
 - no charges: the whole operator is one block, each eigenvalue weighs 1;
 - per-site charges (both built-ins conserve total S^z) but no S+: every
-  total-charge block, each eigenvalue weighs 1;
+  total-charge block, built and solved one at a time, each eigenvalue
+  weighs 1;
 - charges and the single-site raising operator S+ of an SU(2) symmetry
   (both built-ins; model files carry no S+): only the central block,
   total S^z = M0 with M0 = 0, or 1/2 when 0 cannot occur.  Each multiplet
@@ -204,27 +205,29 @@ def _unit_weights(vals, vecs, exhausted: bool):
 
 
 def _sectors(op):
-    """[(block CSR, basis indices, weigh)] of the blocks to solve.
+    """(block CSR, basis indices, weigh) of each block to solve, built one
+    at a time as the caller asks for it.
 
     No charges: the operator's own CSR, unit weights.  Charges without S+:
-    each total-charge block (ascending charge, indices in ascending order),
-    unit weights; each term is placed once on every state in charge order.
-    Charges with S+: the central block, the states of the smallest
-    non-negative total charge `low`, weighed by `_multiplicities` with the
-    S+ map to the block of charge low + step, built on first use;
-    M0 = low / step, with step the charge difference across any nonzero of
-    S+.  No other block is built.
+    each total-charge block, ascending charge, on its own `Sector` (indices
+    ascending), unit weights.  Charges with S+: the central block, the
+    states of the smallest non-negative total charge `low`, weighed by
+    `_multiplicities` with the S+ map to the block of charge low + step,
+    built on first use; M0 = low / step, with step the charge difference
+    across any nonzero of S+.  No other block is built.
     """
-    if getattr(op, "charges", None) is None:
-        return [(op.sparse(), slice(None), _unit_weights)]
+    if op.charges is None:
+        yield op.sparse(), slice(None), _unit_weights
+        return
     m, d, Sp = len(op.site_list), op.d, op.raising
-    if Sp is None:
-        whole = Sector(m, d, op.charges)
-        blocks = zip(op.blocks(whole), whole.bounds, whole.bounds[1:])
-        return [(B, whole.indices[lo:hi], _unit_weights) for B, lo, hi in blocks]
     totals = {0}
     for _ in op.site_list:
         totals = {t + q for t in totals for q in op.charges}
+    if Sp is None:
+        for t in sorted(totals):
+            sector = Sector(m, d, op.charges, t)
+            yield op.block(sector), sector.indices, _unit_weights
+        return
     low = min(t for t in totals if t >= 0)
     a, b = (int(i[0]) for i in np.nonzero(Sp))
     step = op.charges[a] - op.charges[b]
@@ -233,8 +236,7 @@ def _sectors(op):
         lambda: raising_map(Sp, central, Sector(m, d, op.charges, low + step))
     )
     weigh = functools.partial(_multiplicities, raising, low / step)
-    [B] = op.blocks(central)
-    return [(B, central.indices, weigh)]
+    yield op.block(central), central.indices, weigh
 
 
 def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):

@@ -94,6 +94,26 @@ class TestGap:
         assert rc == 3
         assert "GAPCERT_DENSE_LIMIT" in err
 
+    def test_negative_dense_limit_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("GAPCERT_DENSE_LIMIT", raising=False)
+        for argv in (
+            ["gap", "--model", "heisenberg-ferro", "--n", "4", "--dense-limit", "-5"],
+            ["verify", "per-box", "--model", "aklt", "--n", "1", "--dense-limit", "-1"],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (3, ""), argv
+            assert "--dense-limit must be >= 0, got" in err
+        monkeypatch.setenv("GAPCERT_DENSE_LIMIT", "-3")
+        rc, out, err = run(capsys, "gap", "--model", "heisenberg-ferro", "--n", "4")
+        assert (rc, out) == (3, "")
+        assert "GAPCERT_DENSE_LIMIT must be >= 0, got -3" in err
+        # 0 stays valid: every solve takes the iterative path
+        monkeypatch.setenv("GAPCERT_DENSE_LIMIT", "0")
+        rc, out, err = run(capsys, "gap", "--model", "heisenberg-ferro", "--n", "6")
+        assert rc == 0, err
+        assert "method: iterative" in out
+        assert "gap: 0.0990311320976" in out
+
 
 class TestCertify:
     def test_gm_aklt_frozen(self, capsys):
@@ -202,6 +222,19 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert str(path) in err
         assert out == ""
+
+    @pytest.mark.parametrize("geometry", [
+        ["--n-from", "1", "--n-to", "3", "--boundary", "periodic"],
+        ["--D", "0", "--n-from", "2", "--n-to", "3"],
+    ])
+    def test_sweep_geometry_error_keeps_existing_out(self, capsys, tmp_path, geometry):
+        path = tmp_path / "prev.csv"
+        path.write_text("old,rows\n")
+        rc, out, err = run(capsys, "sweep", "--model", "aklt", *geometry, "--out", str(path))
+        assert rc == 3
+        assert err.startswith("error:")
+        assert out == ""
+        assert path.read_text() == "old,rows\n"
 
     def test_malformed_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.model"

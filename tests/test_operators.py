@@ -230,12 +230,15 @@ class TestWeightedSum:
         for op in (dec.Q, dec.R):
             assert op.charges == FERRO.charges
             assert_allclose(op.raising, FERRO.raising)
-            # no Q or R term couples different sectors: each charge block of
-            # all states in charge order is a principal submatrix
-            whole = Sector(4, 2, FERRO.charges)
-            full = dense_matrix(op)[np.ix_(whole.indices, whole.indices)]
-            for B, lo, hi in zip(op.blocks(whole), whole.bounds, whole.bounds[1:]):
-                assert_allclose(B.toarray(), full[lo:hi, lo:hi], rtol=0, atol=0)
+            # no Q or R term couples different sectors: each charge block is
+            # its dense principal submatrix
+            full = dense_matrix(op)
+            labels = {sum(q) for q in itertools.product(FERRO.charges, repeat=4)}
+            sectors = [Sector(4, 2, FERRO.charges, label) for label in sorted(labels)]
+            assert sum(sector.size for sector in sectors) == op.dimension
+            for sector in sectors:
+                want = full[np.ix_(sector.indices, sector.indices)]
+                assert_allclose(op.block(sector).toarray(), want, rtol=0, atol=0)
         weights = np.arange(dec.Q.n_terms, dtype=float)
         op = weighted_sum([(2.0, dec.H), (weights, dec.Q), (-1.0, dec.R)])
         assert op.charges == FERRO.charges

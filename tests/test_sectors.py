@@ -107,7 +107,7 @@ class TestBlockAssembly:
     def test_solved_blocks_are_principal_submatrices(self, name, factory, m, periodic):
         H = hamiltonian(factory(), 1, m, periodic)
         full = one_block(H).sparse()
-        blocks = _sectors(H)
+        blocks = list(_sectors(H))
         assert len(blocks) == (1 if H.raising is not None else 2 * m * max(H.charges) + 1)
         for B, idx, _ in blocks:
             want = full[idx][:, idx]
@@ -115,20 +115,20 @@ class TestBlockAssembly:
             assert np.array_equal(B.toarray(), want.toarray())
 
     def test_every_charge_block_is_a_principal_submatrix(self, name, factory, m, periodic):
+        # each total charge on its own label: the labels' states partition
+        # the basis, and each block is the principal submatrix on its states
         H = hamiltonian(factory(), 1, m, periodic)
         full = one_block(H).sparse()
-        whole = Sector(m, H.d, H.charges)
-        assert sorted(whole.indices.tolist()) == list(range(H.dimension))
-        bounds = list(zip(whole.bounds, whole.bounds[1:]))
-        for B, (lo, hi) in zip(H.blocks(whole), bounds, strict=True):
-            idx = whole.indices[lo:hi]
-            assert np.array_equal(B.toarray(), full[idx][:, idx].toarray())
-            # the same block built on its own charge label
-            label = int(np.sum(np.array(H.charges)[list(np.unravel_index(idx[0], (H.d,) * m))]))
+        labels = np.array(H.charges)[np.indices((H.d,) * m).reshape(m, -1)].sum(axis=0)
+        seen = []
+        for label in np.unique(labels).tolist():
             one = Sector(m, H.d, H.charges, label)
-            assert np.array_equal(one.indices, idx)
-            [single] = H.blocks(one)
-            assert np.array_equal(single.toarray(), B.toarray())
+            assert np.array_equal(one.indices, np.flatnonzero(labels == label))
+            seen += one.indices.tolist()
+            B, want = H.block(one), full[one.indices][:, one.indices]
+            assert B.dtype == want.dtype == H.dtype
+            assert np.array_equal(B.toarray(), want.toarray())
+        assert sorted(seen) == list(range(H.dimension))
 
 
 def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):
@@ -154,7 +154,7 @@ class TestBlocks:
     def test_ferro_blocks_are_sz_sectors(self):
         # charges without S+, so every block is solved
         H = hamiltonian(heisenberg_ferro(), 1, 6, False)
-        blocks = _sectors(ManyBodyOperator(H.site_list, H.d, H.terms, H.charges))
+        blocks = list(_sectors(ManyBodyOperator(H.site_list, H.d, H.terms, H.charges)))
         assert [B.shape[0] for B, _, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
         covered = np.sort(np.concatenate([idx for _, idx, _ in blocks]))
         assert (covered == np.arange(H.dimension)).all()

@@ -119,14 +119,21 @@ def test_aklt_open_kernel_is_singlet_plus_triplet():
 
 
 def test_reloaded_model_solves_all_blocks(tmp_path):
-    # model files carry no S+, so a reloaded built-in takes the all-block path
-    path = tmp_path / "aklt.model"
-    save_model(aklt(), path)
-    back = load_model(path)
-    assert back.charges == (1, 0, -1) and back.raising is None
-    want, got = spectral_gap(chain(aklt(), 5)), spectral_gap(chain(back, 5))
-    assert got.kernel_dim == want.kernel_dim
-    assert_allclose(got.gap, want.gap, rtol=0, atol=1e-12)
+    # model files carry no S+, so a reloaded built-in takes the all-block
+    # path, dense and iterative; the built-in's dense solve, where the kernel
+    # count is exact, is the reference
+    for factory, D, side in ((aklt, 1, 5), (heisenberg_ferro, 2, 3)):
+        path = tmp_path / f"{factory.__name__}.model"
+        save_model(factory(), path)
+        back = load_model(path)
+        assert back.charges == factory().charges and back.raising is None
+        edges, site_list = grid_edges(D, side), grid_sites(D, side)
+        want = spectral_gap(build_hamiltonian(factory(), edges, site_list))
+        for config, method in ((None, "dense"), (EigenSolveConfig(dense_limit=1), "iterative")):
+            got = spectral_gap(build_hamiltonian(back, edges, site_list), config=config)
+            assert got.method == method
+            assert got.kernel_dim == want.kernel_dim
+            assert_allclose(got.gap, want.gap, rtol=0, atol=1e-12)
 
 
 @pytest.fixture
