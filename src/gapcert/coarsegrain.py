@@ -308,7 +308,8 @@ def metacube_adjacency_counts() -> dict:
 
 
 def _kernel_basis(A: np.ndarray) -> np.ndarray:
-    vals, vecs = scipy.linalg.eigh(A)
+    """Kernel eigenvectors of a Hermitian array, which LAPACK overwrites."""
+    vals, vecs = scipy.linalg.eigh(A, overwrite_a=True)
     return vecs[:, vals <= KERNEL_TOL]
 
 

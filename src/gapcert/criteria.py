@@ -458,7 +458,7 @@ def per_box_bound_witness(
         model, grid_edges(D, n + 1), grid_sites(D, n + 1)
     )
     limit = (config or DEFAULT_CONFIG).dense_limit
-    vals = scipy.linalg.eigvalsh(dense_matrix(H, limit=limit))
+    vals = scipy.linalg.eigvalsh(dense_matrix(H, limit=limit), overwrite_a=True)
     above = vals[vals > KERNEL_TOL]
     if above.size == 0:
         raise ValueError("box Hamiltonian has no eigenvalue above the kernel tolerance")

@@ -556,13 +556,16 @@ def build_QR(interaction: NNInteraction, edges, site_list) -> TermDecomposition:
 
 
 def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """The operator's CSR as a dense array, refused past `limit`."""
+    """The operator's CSR as a dense Fortran-ordered array, refused past
+    `limit`.  The caller owns the array and may hand it to LAPACK to
+    overwrite (`overwrite_a=True`), which then makes no copy of it."""
     if op.dimension > limit:
+        fit = _sites_within(op.d, limit)
         raise DimensionLimitError(
-            f"dimension {op.dimension} exceeds dense limit {limit}; "
-            f"at d={op.d} at most {_sites_within(op.d, limit)} sites fit"
+            f"dimension {op.dimension} exceeds dense limit {limit}; at d={op.d} "
+            + (f"at most {fit} sites fit" if fit else "not even one site fits")
         )
-    return op.sparse().toarray()
+    return op.sparse().toarray(order="F")
 
 
 @dataclass

@@ -5,13 +5,14 @@ strictly above the kernel tolerance; kernel multiplicity never enters.
 Every solve works on CSR blocks, real when the model is real, each
 assembled straight from the basis indices of one total charge; the CSR
 on the full tensor basis (`op.sparse()`) is built only for an operator
-without charges.  Dimensions up to `dense_limit` are densified and solved
-by Hermitian `eigh` for only the lowest pairs asked for; larger ones use
-ARPACK's implicitly restarted Lanczos (which='SA') on the CSR itself, with
-a seeded start vector for determinism and a widened Krylov basis to
-resolve the clustered near-zero spectra frustration-free Hamiltonians
-produce.  Residuals come from the matrix-free `apply`, a path independent
-of the CSR assembly.
+without charges.  Dimensions up to `dense_limit` are densified, into one
+Fortran-ordered array per attempt that LAPACK overwrites in place (no
+second n x n copy), and solved by Hermitian `eigh` for only the lowest
+pairs asked for; larger ones use ARPACK's implicitly restarted Lanczos
+(which='SA') on the CSR itself, with a seeded start vector for
+determinism and a widened Krylov basis to resolve the clustered near-zero
+spectra frustration-free Hamiltonians produce.  Residuals come from the
+matrix-free `apply`, a path independent of the CSR assembly.
 
 There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalue`
 and the inequality witness built on it.  `_sectors` builds the blocks it
@@ -129,9 +130,11 @@ def _residuals(op, vals, vecs):
 
 
 def _dense_lowest(A, k: int):
-    """Lowest k pairs of a dense Hermitian array (all of them for k >= dim)."""
+    """Lowest k pairs of a dense Hermitian array (all of them for k >= dim).
+    A is consumed: LAPACK overwrites it, in place (no n x n copy) when A is
+    Fortran-ordered."""
     subset = None if k >= A.shape[0] else [0, k - 1]
-    return scipy.linalg.eigh(A, subset_by_index=subset)
+    return scipy.linalg.eigh(A, subset_by_index=subset, overwrite_a=True)
 
 
 def _arpack_lowest(A, config: EigenSolveConfig, k: int):
@@ -249,12 +252,12 @@ def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: floa
     iterative path ARPACK runs while its k fits under dim - 2 and
     config.max_k; a block too small for ARPACK to reach far enough, or one
     of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is solved by
-    dense eigh instead.
+    dense eigh instead.  Each dense attempt densifies B afresh, since
+    `_dense_lowest` consumes its array.
     """
     n = B.shape[0]
     arpack = iterative and max(config.k, 2) <= n - 2
     k = max(config.k, 2) if arpack else min(config.k, n)
-    dense = None
     while True:
         if arpack:
             try:
@@ -268,9 +271,7 @@ def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: floa
                 arpack = False
                 continue
         else:
-            if dense is None:
-                dense = B.toarray()
-            vals, vecs = _dense_lowest(dense, k)
+            vals, vecs = _dense_lowest(B.toarray(order="F"), k)
         exhausted = len(vals) == n
         w = weigh(vals, vecs, exhausted)
         kernel = w[vals[: len(w)] <= kernel_tol].sum()

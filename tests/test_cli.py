@@ -344,6 +344,18 @@ class TestVerify:
         assert "dense limit" in err
         assert "PASS" not in out
 
+    def test_dense_limit_below_one_site(self, capsys, monkeypatch):
+        # d=3: a limit under 3 holds no site, so no site count may be named
+        monkeypatch.delenv("GAPCERT_DENSE_LIMIT", raising=False)
+        for limit in ("2", "0"):
+            rc, out, err = run(
+                capsys, "verify", "per-box", "--model", "aklt", "--D", "1", "--n", "1",
+                "--dense-limit", limit,
+            )
+            assert (rc, out) == (3, ""), limit
+            assert f"exceeds dense limit {limit}; at d=3 not even one site fits" in err
+            assert "at most 0 sites" not in err
+
     def test_cauchy_schwarz_dense_limit(self, capsys):
         rc, out, err = run(capsys, "verify", "cauchy-schwarz", "--d", "3", "--dense-limit", "8")
         assert rc == 3

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from gapcert.criteria import per_box_bound_witness
 from gapcert.lattice import grid_edges, grid_sites
-from gapcert.models import aklt, heisenberg_ferro
+from gapcert.models import aklt, heisenberg_ferro, random_projection
 from gapcert.operators import ManyBodyOperator, build_hamiltonian, dense_matrix, weighted_sum
 from gapcert.spectral import (
     EigenSolveConfig,
@@ -179,6 +182,27 @@ class TestDenseSubset:
     def test_all_kernel_after_fallback(self):
         with pytest.raises(GapUndefinedError):
             spectral_gap(diag_op([0.0] * 6), config=EigenSolveConfig(k=2, max_k=2))
+
+    def test_one_dense_array_per_solve(self):
+        # LAPACK overwrites a Fortran-ordered array in place; a C-ordered one
+        # it would first copy, peaking near two n x n arrays instead of one
+        chain = build_hamiltonian(random_projection(2, 1, 7), grid_edges(1, 9), grid_sites(1, 9))
+        assert (chain.dimension, chain.dtype, chain.charges) == (512, np.complex128, None)
+        solves = (
+            # a 10-fold kernel: k doubles 8 -> 16, two dense attempts
+            (lambda: spectral_gap(chain), 512, 16),
+            # the open 6-site AKLT chain, 729 real states
+            (lambda: per_box_bound_witness(aklt(), 1, 5), 729, 8),
+        )
+        for solve, n, itemsize in solves:
+            solve()  # first call pays any lazy imports
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * n * n * itemsize, (n, peak / (n * n * itemsize))
 
 
 class TestOperatorInequality:
