@@ -10,8 +10,9 @@ subsystem is the n-site open chain with gap gamma_n; on boxes (theorem
                           / (2^9 sqrt(6) n),                            n > 3, m > 2n
     main: gamma_N     >= gamma_B - 1/n - 2/n^2,                         n >= 3, N >= 2n+1
 
-Certification means the local gap strictly exceeds the threshold term, so
-the implied bulk bound is positive.  Subsystems are always open boxes; the
+Certification means the local gap exceeds the threshold term by more than
+the numerical error budget of the computed gaps, so the implied bulk
+bound is positive whatever their roundoff.  Subsystems are always open boxes; the
 bulk operator is always periodic.  Each criterion is one row of
 `THEOREM_TABLE` (its domain of n, closed forms and subsystem sizes), which
 `certify` and the CLI sweep both read.
@@ -161,6 +162,9 @@ threshold_main, implied_bound_main = _MAIN.threshold, _MAIN.bound
 
 # -- subsystem solves -----------------------------------------------------
 
+EPS = float(np.finfo(np.float64).eps)
+THRESHOLD_ULPS = 4  # the rounding of a closed-form threshold, in units of eps * threshold
+
 
 def subsystem_gap(
     interaction: NNInteraction,
@@ -176,13 +180,30 @@ def subsystem_gap(
     return spectral_gap(H, config=config)
 
 
+def _gap_error_budget(interaction: NNInteraction, D: int, side: int, report: GapReport) -> float:
+    """A bound on the error of the computed gap of the open grid of `side`.
+
+    The residual r of the gap's unit eigenvector puts a true eigenvalue
+    within r of it (Hermitian H).  The solve adds a backward error of at
+    most dim * eps * ||H|| (LAPACK's bound p(n) eps ||H|| with p(n) = n),
+    and ||H|| <= the number of edges for a sum of projections.
+    """
+    edges = len(grid_edges(D, side))
+    dim = interaction.d ** (side**D)
+    return report.residuals[report.kernel_dim] + dim * EPS * edges
+
+
 @dataclass
 class CriterionResult:
     """Outcome of one criterion evaluation; margins, not just a boolean.
 
     `gaps` maps subsystem size to its computed gap (one entry for gm/main,
     the whole l-range for lm); `local_gap` is the value compared against
-    the threshold.  certified <=> implied_lower_bound > 0.
+    the threshold.  `error_budget` is the largest `_gap_error_budget` over
+    the solved sizes plus THRESHOLD_ULPS * eps * threshold, and
+    certified <=> margin > error_budget: a margin inside the budget
+    (such as the exact tie of the AKLT 3-site gap with the gm threshold)
+    is not certified, whatever its sign.
     """
 
     theorem_id: str
@@ -193,6 +214,7 @@ class CriterionResult:
     threshold: float
     prefactor: float
     implied_lower_bound: float
+    error_budget: float
     certified: bool
     rigorous: bool = True
     notes: list = field(default_factory=list)
@@ -237,7 +259,7 @@ def certify(
             )
         notes.append(f"non-rigorous: {stated}, ran at D={D}")
 
-    gaps = {}
+    gaps, budget = {}, 0.0
     for key, side in spec.sizes(n).items():
         report = subsystem_gap(model, D, side, config=config)
         if report.kernel_dim == 0:
@@ -252,8 +274,10 @@ def certify(
                 f"the criteria assume frustration-freeness"
             )
         gaps[key] = report.gap
+        budget = max(budget, _gap_error_budget(model, D, side, report))
     local_gap = min(gaps.values())
     threshold = spec.threshold(n)
+    budget += THRESHOLD_ULPS * EPS * threshold
     notes.append(
         spec.note.format(
             n=n, D=D, side=side, kernel=report.kernel_dim,
@@ -269,7 +293,8 @@ def certify(
         threshold=threshold,
         prefactor=spec.prefactor(n),
         implied_lower_bound=spec.bound(local_gap, n),
-        certified=local_gap > threshold,
+        error_budget=budget,
+        certified=local_gap - threshold > budget,
         rigorous=rigorous,
         notes=notes,
     )

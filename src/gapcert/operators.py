@@ -3,14 +3,17 @@
 A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
 An operator is a term list with one `dtype`: float64 when every term is
-exactly real, complex128 otherwise.  Every solver works on scipy.sparse
-CSR blocks of that dtype, each assembled straight from the basis states
-of its charge sector (`Sector`) by index arithmetic: one placement
-routine, `_placed`, puts a local term on a sector and serves the blocks
-(`ManyBodyOperator.block`), the S+ map between two sectors
-(`raising_map`) and the anticommutator patterns of `build_QR`.  The CSR on
-the full tensor basis (`sparse`) is built only for an operator without
-charges and for `dense_matrix`.  The matrix-free matvec
+exactly real, complex128 otherwise.  Its blocks are assembled in that
+dtype straight from the basis states of their charge sector (`Sector`)
+by index arithmetic: one placement routine, `_placed`, puts a local term
+on a sector and serves the blocks (`ManyBodyOperator.block`), the S+ map
+between two sectors (`raising_map`) and the anticommutator patterns of
+`build_QR`, and one routine, `_assembled`, adds the placed terms up,
+either into a dense array or into a scipy.sparse CSR.  The dense path
+(`dense_matrix`, the dense solves, the S+ map they weigh with, and the
+anticommutators) never builds a CSR; only the iterative path does, and
+only it loads scipy.sparse.  The CSR on the full tensor basis (`sparse`)
+is built only for an operator without charges.  The matrix-free matvec
 (`apply`) stays as an independent path for residuals and for the
 square-identity check: each term reads only the amplitudes of its nonzero
 columns and writes only its nonzero rows, through one matmul with its
@@ -45,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from gapcert.lattice import PairClass, classify_pairs, edge_arrays
 
@@ -229,7 +231,7 @@ def _index_dtype(n: int):
 def _placed(M, pos, cols: Sector, rows: Sector):
     """The entries of the d^k x d^k matrix M on the tensor factors `pos`,
     with its columns on the sector `cols` and its rows on the sector
-    `rows`, as (data, (row, col)) for scipy's sparse constructors.
+    `rows`, as (data, (row, col)), the form `_assembled` adds up.
 
     Entry (a, b) of M sends each state whose digits at `pos` spell b to
     index + off[a] - off[b], and moves its total charge by a fixed amount.
@@ -237,7 +239,8 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     the term couples different sectors.  Otherwise the images of the
     pattern-b run of `cols` are the pattern-a run of `rows`, in order.
     The entries come in ascending off[b], so each row's columns ascend and
-    a CSR built from them needs no sort.
+    a CSR built from them needs no sort.  No two entries share a (row, col)
+    position: entries with one b have distinct a, hence distinct rows.
     """
     off = cols._offsets(pos)
     a, b = np.nonzero(M)
@@ -262,29 +265,52 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     return np.repeat(M[a, b], sizes), (to.astype(index, copy=False), at.astype(index, copy=False))
 
 
-def raising_map(raising, sector: Sector, image: Sector):
-    """CSR of sum_j S+_j, the single-site raising operator on every site,
-    from `sector` to `image`.  S+ moves the charge, so no two sites share
-    an entry, and the entries of all sites make one CSR."""
+def _assembled(placed, shape, dtype, dense: bool):
+    """The sum of `_placed` entry lists, consumed one at a time, as a
+    matrix of `shape` and `dtype`.
+
+    dense: a zeroed Fortran-ordered array, each list added in by
+    A[rows, cols] += data.  That fancy-index add is exact only because no
+    two entries of one list share a position (`_placed`, and `raising_map`,
+    whose sites share none).  The caller owns the array and
+    may let LAPACK overwrite it.  Otherwise: their CSR sum (`_sum_csr`).
+    """
+    if not dense:
+        return _sum_csr(placed, shape)
+    A = np.zeros(shape, dtype=dtype, order="F")
+    for data, (rows, cols) in placed:
+        A[rows, cols] += data
+    return A
+
+
+def raising_map(raising, sector: Sector, image: Sector, dense: bool = False):
+    """sum_j S+_j, the single-site raising operator on every site, from
+    `sector` to `image`: a CSR, or with `dense` a dense array.  S+ moves
+    the charge, so no two sites share an entry, and the entries of all
+    sites make one entry list."""
     M = raising if raising.imag.any() else raising.real
     parts = [_placed(M, (j,), sector, image) for j in range(sector.m)]
     data, rows, cols = (np.concatenate(x) for x in zip(*((v, r, c) for v, (r, c) in parts)))
-    return scipy.sparse.csr_array((data, (rows, cols)), shape=(image.size, sector.size))
+    return _assembled([(data, (rows, cols))], (image.size, sector.size), M.dtype, dense)
 
 
-def _sum_csr(matrices, n: int):
-    """The sum of n x n CSR matrices, consumed one at a time, by pairwise
-    merges: partial sums of equal rank merge as in a binary counter, so t
-    summands cost O(nnz log t) work and at most log2(t) partial sums are
-    alive at once; no triplet list of all summands is ever built."""
+def _sum_csr(placed, shape):
+    """The CSR sum of `_placed` entry lists, each made a CSR of `shape` and
+    consumed one at a time, by pairwise merges: partial sums of equal rank
+    merge as in a binary counter, so t summands cost O(nnz log t) work and
+    at most log2(t) partial sums are alive at once; no triplet list of all
+    summands is ever built.  The one place in this module that loads
+    scipy.sparse, so a run that builds no CSR never loads it."""
+    import scipy.sparse
+
     stack = []
-    for A in matrices:
-        rank = 0
+    for entries in placed:
+        A, rank = scipy.sparse.csr_array(entries, shape=shape), 0
         while stack and stack[-1][0] == rank:
             A = stack.pop()[1] + A
             rank += 1
         stack.append((rank, A))
-    out = scipy.sparse.csr_array((n, n), dtype=np.float64)
+    out = scipy.sparse.csr_array(shape, dtype=np.float64)
     while stack:
         out = out + stack.pop()[1]
     return out
@@ -356,20 +382,18 @@ class ManyBodyOperator:
     def sparse(self):
         """The operator on the full tensor basis as a CSR matrix of `dtype`,
         assembled on first use and kept; the solvers use it only for an
-        operator without charges."""
+        operator without charges on the iterative path."""
         if self._csr is None:
             self._csr = self.block(Sector(len(self.site_list), self.d))
         return self._csr
 
-    def block(self, sector: Sector):
-        """CSR of `dtype` of the operator on the states of `sector`, each term
-        placed once; ValueError if a term couples different sectors."""
-        shape = (sector.size, sector.size)
-        terms = (
-            scipy.sparse.csr_array(_placed(M, pos, sector, sector), shape=shape)
-            for pos, M in zip(self._positions, self._mats)
-        )
-        return _sum_csr(terms, sector.size)
+    def block(self, sector: Sector, dense: bool = False):
+        """The operator on the states of `sector` in `dtype`, each term placed
+        once: a CSR, or with `dense` a dense Fortran-ordered array that the
+        caller owns (`_assembled`); ValueError if a term couples different
+        sectors."""
+        terms = (_placed(M, pos, sector, sector) for pos, M in zip(self._positions, self._mats))
+        return _assembled(terms, (sector.size, sector.size), self.dtype, dense)
 
     def _cut_terms(self):
         """Per nonzero term, built on first use and kept: the state shape with
@@ -507,13 +531,12 @@ def build_hamiltonian(interaction: NNInteraction, edges, site_list) -> ManyBodyO
 
 def _anticommutator(term1, term2, d: int):
     """{h1, h2} of two local terms as one matrix on the union of their sites,
-    each factor placed there by `_placed` before the product."""
+    each factor placed there densely by `_placed` before the product."""
     union = tuple(dict.fromkeys(term1[0] + term2[0]))
     full = Sector(len(union), d)
-    shape = (full.size, full.size)
     A, B = (
-        scipy.sparse.csr_array(_placed(M, [union.index(s) for s in sites], full, full), shape=shape)
-        .toarray()
+        _assembled([_placed(M, [union.index(s) for s in sites], full, full)],
+                   (full.size, full.size), M.dtype, dense=True)
         for sites, M in (term1, term2)
     )
     return union, A @ B + B @ A
@@ -555,17 +578,21 @@ def build_QR(interaction: NNInteraction, edges, site_list) -> TermDecomposition:
     )
 
 
-def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """The operator's CSR as a dense Fortran-ordered array, refused past
-    `limit`.  The caller owns the array and may hand it to LAPACK to
-    overwrite (`overwrite_a=True`), which then makes no copy of it."""
-    if op.dimension > limit:
+def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT, sector: Sector | None = None) -> np.ndarray:
+    """The operator, or its block on `sector`, as a dense Fortran-ordered
+    array of its dtype, its terms added straight into it (no CSR); refused
+    when that dimension passes `limit`.  The caller owns the array and may
+    hand it to LAPACK to overwrite (`overwrite_a=True`), which then makes
+    no copy of it."""
+    if sector is None:
+        sector = Sector(len(op.site_list), op.d)
+    if sector.size > limit:
         fit = _sites_within(op.d, limit)
         raise DimensionLimitError(
-            f"dimension {op.dimension} exceeds dense limit {limit}; at d={op.d} "
+            f"dimension {sector.size} exceeds dense limit {limit}; at d={op.d} "
             + (f"at most {fit} sites fit" if fit else "not even one site fits")
         )
-    return op.sparse().toarray(order="F")
+    return op.block(sector, dense=True)
 
 
 @dataclass

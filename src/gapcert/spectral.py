@@ -2,17 +2,20 @@
 
 The gap of a positive-semidefinite operator is its smallest eigenvalue
 strictly above the kernel tolerance; kernel multiplicity never enters.
-Every solve works on CSR blocks, real when the model is real, each
-assembled straight from the basis indices of one total charge; the CSR
-on the full tensor basis (`op.sparse()`) is built only for an operator
-without charges.  Dimensions up to `dense_limit` are densified, into one
-Fortran-ordered array per attempt that LAPACK overwrites in place (no
-second n x n copy), and solved by Hermitian `eigh` for only the lowest
-pairs asked for; larger ones use ARPACK's implicitly restarted Lanczos
-(which='SA') on the CSR itself, with a seeded start vector for
+Every solve works on blocks, real when the model is real, each assembled
+straight from the basis indices of one total charge.  Dimensions up to
+`dense_limit` take the dense path: each attempt places the block's terms
+straight into one Fortran-ordered array (`dense_matrix`, no CSR) that
+LAPACK overwrites in place (no second n x n copy), and Hermitian `eigh`
+solves it for only the lowest pairs asked for.  Larger ones take the
+iterative path: the block is assembled as a CSR, and ARPACK's implicitly
+restarted Lanczos (which='SA') runs on it, with a seeded start vector for
 determinism and a widened Krylov basis to resolve the clustered near-zero
-spectra frustration-free Hamiltonians produce.  Residuals come from the
-matrix-free `apply`, a path independent of the CSR assembly.
+spectra frustration-free Hamiltonians produce.  Only that path loads
+scipy.sparse and ARPACK.  The CSR on the full tensor basis
+(`op.sparse()`) is built only for an operator without charges.
+Residuals come from the matrix-free `apply`, a path independent of both
+assemblies.
 
 There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalue`
 and the inequality witness built on it.  `_sectors` builds the blocks it
@@ -57,10 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, Sector, raising_map, weighted_sum
+from gapcert.operators import DEFAULT_DENSE_LIMIT, Sector, dense_matrix, raising_map, weighted_sum
 
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
@@ -138,7 +139,11 @@ def _dense_lowest(A, k: int):
 
 
 def _arpack_lowest(A, config: EigenSolveConfig, k: int):
-    """Lowest k pairs of a Hermitian CSR matrix by ARPACK (which='SA')."""
+    """Lowest k pairs of a Hermitian CSR matrix by ARPACK (which='SA'), or
+    None when ARPACK refuses to iterate on a block of at most
+    DEFAULT_DENSE_LIMIT states, which dense eigh can take instead."""
+    import scipy.sparse.linalg
+
     dim = A.shape[0]
     if not 0 < k <= dim - 2:
         # ARPACK needs k < dim - 1 (eigs, which complex operators go through)
@@ -159,7 +164,7 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
             maxiter=maxiter,
             tol=0,
         )
-    except ArpackNoConvergence as exc:
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
         # ARPACK's nconv counts converged Ritz pairs, not the lowest ones
         found = np.sort(exc.eigenvalues.real).tolist()
         raise SolverConvergenceError(
@@ -167,13 +172,18 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
             f"within maxiter={maxiter}; converged Ritz values, not known to be "
             f"the lowest: {found}"
         ) from exc
+    except scipy.sparse.linalg.ArpackError as exc:
+        # e.g. error 3 (no shifts could be applied) on a large kernel
+        if dim > DEFAULT_DENSE_LIMIT:
+            raise SolverConvergenceError(f"ARPACK could not iterate at dim {dim}: {exc}") from exc
+        return None
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
 def _multiplicities(raising, m0: float, vals, vecs, exhausted: bool):
     """2S+1 of each central-block pair in the complete clusters of `vals`;
-    raising() is the CSR of S+ from the central block.
+    raising() is the map of S+ from the central block (`raising_map`).
 
     A cluster is a run of eigenvalues each within CLUSTER_TOL of the next.
     The top cluster may be cut by k, so it is left out unless the block is
@@ -207,11 +217,26 @@ def _unit_weights(vals, vecs, exhausted: bool):
     return np.ones(len(vals), dtype=int)
 
 
-def _sectors(op):
-    """(block CSR, basis indices, weigh) of each block to solve, built one
-    at a time as the caller asks for it.
+class _DenseBlock:
+    """A block of `op` on `sector` for the dense path.  It holds no matrix:
+    each `toarray` places the terms into a new dense array (`dense_matrix`),
+    since each dense solve consumes its array.  `toarray` takes the CSR's
+    `order` argument, and its array is always Fortran-ordered."""
 
-    No charges: the operator's own CSR, unit weights.  Charges without S+:
+    def __init__(self, op, sector: Sector):
+        self.op, self.sector = op, sector
+        self.shape = (sector.size, sector.size)
+
+    def toarray(self, order="F"):
+        return dense_matrix(self.op, self.sector.size, self.sector)
+
+
+def _sectors(op, dense: bool = False):
+    """(block, basis indices, weigh) of each block to solve, built one at a
+    time as the caller asks for it.  A block is a CSR, or with `dense` a
+    `_DenseBlock`; the S+ map of the central block is dense alike.
+
+    No charges: the whole operator, unit weights.  Charges without S+:
     each total-charge block, ascending charge, on its own `Sector` (indices
     ascending), unit weights.  Charges with S+: the central block, the
     states of the smallest non-negative total charge `low`, weighed by
@@ -219,27 +244,32 @@ def _sectors(op):
     built on first use; M0 = low / step, with step the charge difference
     across any nonzero of S+.  No other block is built.
     """
-    if op.charges is None:
-        yield op.sparse(), slice(None), _unit_weights
-        return
+    def block(sector):
+        if dense:
+            return _DenseBlock(op, sector)
+        return op.sparse() if sector.charges is None else op.block(sector)
+
     m, d, Sp = len(op.site_list), op.d, op.raising
+    if op.charges is None:
+        yield block(Sector(m, d)), slice(None), _unit_weights
+        return
     totals = {0}
     for _ in op.site_list:
         totals = {t + q for t in totals for q in op.charges}
     if Sp is None:
         for t in sorted(totals):
             sector = Sector(m, d, op.charges, t)
-            yield op.block(sector), sector.indices, _unit_weights
+            yield block(sector), sector.indices, _unit_weights
         return
     low = min(t for t in totals if t >= 0)
     a, b = (int(i[0]) for i in np.nonzero(Sp))
     step = op.charges[a] - op.charges[b]
     central = Sector(m, d, op.charges, low)
     raising = functools.cache(
-        lambda: raising_map(Sp, central, Sector(m, d, op.charges, low + step))
+        lambda: raising_map(Sp, central, Sector(m, d, op.charges, low + step), dense)
     )
     weigh = functools.partial(_multiplicities, raising, low / step)
-    yield op.block(central), central.indices, weigh
+    yield block(central), central.indices, weigh
 
 
 def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):
@@ -252,24 +282,19 @@ def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: floa
     iterative path ARPACK runs while its k fits under dim - 2 and
     config.max_k; a block too small for ARPACK to reach far enough, or one
     of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is solved by
-    dense eigh instead.  Each dense attempt densifies B afresh, since
-    `_dense_lowest` consumes its array.
+    dense eigh instead.  Each dense attempt densifies B afresh
+    (`B.toarray`), since `_dense_lowest` consumes its array.
     """
     n = B.shape[0]
     arpack = iterative and max(config.k, 2) <= n - 2
     k = max(config.k, 2) if arpack else min(config.k, n)
     while True:
         if arpack:
-            try:
-                vals, vecs = _arpack_lowest(B, config, k)
-            except ArpackError as exc:
-                # e.g. error 3 (no shifts could be applied) on a large kernel
-                if n > DEFAULT_DENSE_LIMIT:
-                    raise SolverConvergenceError(
-                        f"ARPACK could not iterate at dim {n}: {exc}"
-                    ) from exc
+            found = _arpack_lowest(B, config, k)
+            if found is None:
                 arpack = False
                 continue
+            vals, vecs = found
         else:
             vals, vecs = _dense_lowest(B.toarray(order="F"), k)
         exhausted = len(vals) == n
@@ -299,7 +324,7 @@ def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
     iterative = op.dimension > config.dense_limit
     solved = [
         (*_block_lowest(B, config, iterative, kernel_tol, weigh), idx)
-        for B, idx, weigh in _sectors(op)
+        for B, idx, weigh in _sectors(op, not iterative)
     ]
     return solved, "iterative" if iterative else "dense"
 
@@ -332,7 +357,7 @@ def lowest_eigenvalue(op, config: EigenSolveConfig | None = None) -> float:
     iterative = op.dimension > config.dense_limit
     return min(
         float(_block_lowest(B, config, iterative, -np.inf, _unit_weights)[0][0])
-        for B, _, _ in _sectors(op)
+        for B, _, _ in _sectors(op, not iterative)
     )
 
 
@@ -340,8 +365,9 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
     """Smallest eigenvalue above kernel_tol, over the blocks of `_sectors`.
 
     Each block gives its lowest pairs (`_block_lowest`): by dense subset eigh
-    when the operator's whole dimension is at most config.dense_limit, else
-    by ARPACK on the block's CSR.  kernel_dim = the summed weight (1 per
+    on the block placed straight into a dense array when the operator's
+    whole dimension is at most config.dense_limit, else by ARPACK on the
+    block's CSR.  kernel_dim = the summed weight (1 per
     pair, or 2S+1 per central pair) at or below kernel_tol, and the report
     holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
     repeated by its weight, with residuals of the eigenvectors embedded

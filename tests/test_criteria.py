@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gapcert import criteria
+from gapcert.cli import main
 from gapcert.criteria import (
     aligned_pair_witness,
     bound_gm,
@@ -39,7 +41,7 @@ from gapcert.operators import (
     build_hamiltonian,
     dense_matrix,
 )
-from gapcert.spectral import EigenSolveConfig
+from gapcert.spectral import EigenSolveConfig, GapReport
 
 FERRO = heisenberg_ferro()
 
@@ -127,6 +129,24 @@ class TestCertify:
             res4.implied_lower_bound, prefactor_gm(4) * res4.margin, rtol=1e-12
         )
         assert res4.implied_lower_bound > 0
+
+    @pytest.mark.parametrize(
+        "excess,residual,want",
+        [(1e-15, 0.0, "false"), (1e-6, 0.0, "true"), (1e-6, 2e-6, "false")],
+    )
+    def test_error_budget_decides(self, monkeypatch, capsys, excess, residual, want):
+        # a margin inside the error budget (roundoff, or the gap's own
+        # residual) is not certified, whatever its sign
+        gap = threshold_gm(3) + excess
+        report = GapReport(
+            eigenvalues=[0.0, gap], residuals=[0.0, residual], kernel_dim=1,
+            gap=gap, method="dense", k_used=2,
+        )
+        monkeypatch.setattr(criteria, "subsystem_gap", lambda *args, **kwargs: report)
+        assert main(["certify", "--model", "aklt", "--theorem", "gm", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert f"local_gap: {gap:.12g}\n" in out
+        assert f"certified: {want}\n" in out
 
     def test_lm_ferro(self):
         res = certify(FERRO, 1, 4, theorem="lm")

@@ -9,8 +9,24 @@ from numpy.testing import assert_allclose
 from gapcert import operators
 from gapcert.cli import main
 from gapcert.lattice import grid_edges, grid_sites
-from gapcert.models import ModelFormatError, aklt, heisenberg_ferro, load_model, save_model
-from gapcert.operators import ManyBodyOperator, NNInteraction, Sector, build_hamiltonian
+from gapcert.models import (
+    ModelFormatError,
+    aklt,
+    heisenberg_ferro,
+    load_model,
+    random_projection,
+    save_model,
+)
+from gapcert.operators import (
+    ManyBodyOperator,
+    NNInteraction,
+    Sector,
+    build_hamiltonian,
+    build_QR,
+    dense_matrix,
+    raising_map,
+    weighted_sum,
+)
 from gapcert.spectral import (
     EigenSolveConfig,
     GapUndefinedError,
@@ -129,6 +145,49 @@ class TestBlockAssembly:
             assert B.dtype == want.dtype == H.dtype
             assert np.array_equal(B.toarray(), want.toarray())
         assert sorted(seen) == list(range(H.dimension))
+
+
+ASSEMBLY_CASES = [
+    ("aklt chain 6", aklt, 1, 6, False),
+    ("aklt ring 6", aklt, 1, 6, True),
+    ("ferro torus 3x3", heisenberg_ferro, 2, 3, True),
+    ("complex chain 5", lambda: random_projection(3, 2, 5), 1, 5, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,factory,D,side,periodic", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES]
+)
+def test_dense_and_csr_assembly_agree(name, factory, D, side, periodic):
+    # the dense path adds the terms one at a time into its array, the CSR
+    # path sums them pairwise: the same entries in another summation order,
+    # so within a few eps per term, and exactly where every sum is exact
+    # (the ferro entries are multiples of 1/2)
+    model = factory()
+    dec = build_QR(model, grid_edges(D, side, periodic=periodic), grid_sites(D, side))
+    m, d, charges = side**D, model.d, model.charges
+    if charges is None:
+        sectors = [Sector(m, d)]
+    else:
+        labels = np.array(charges)[np.indices((d,) * m).reshape(m, -1)].sum(axis=0)
+        sectors = [Sector(m, d, charges, t) for t in np.unique(labels).tolist()]
+    for op in (dec.H, weighted_sum([(2.0, dec.H), (1.0, dec.Q)]), dec.R):
+        for sector in sectors:
+            want = op.block(sector).toarray()
+            got = dense_matrix(op, op.dimension, sector)
+            assert got.dtype == want.dtype == op.dtype
+            assert got.flags.f_contiguous
+            if model.name == heisenberg_ferro().name:
+                assert np.array_equal(got, want)
+            else:
+                tol = 4 * np.finfo(np.float64).eps * op.n_terms * np.abs(want).max()
+                assert_allclose(got, want, rtol=0, atol=tol)
+    if model.raising is not None:
+        for sector, image in zip(sectors, sectors[1:]):
+            want = raising_map(model.raising, sector, image).toarray()
+            got = raising_map(model.raising, sector, image, True)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):

@@ -193,6 +193,9 @@ class TestDenseSubset:
             (lambda: spectral_gap(chain), 512, 16),
             # the open 6-site AKLT chain, 729 real states
             (lambda: per_box_bound_witness(aklt(), 1, 5), 729, 8),
+            # S+: the 12-site ferro chain's central block, 924 of 4096 real
+            # states, weighed with its dense S+ map to the next block up
+            (lambda: spectral_gap(ferro_chain(12)), 924, 8),
         )
         for solve, n, itemsize in solves:
             solve()  # first call pays any lazy imports
