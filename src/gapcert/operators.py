@@ -4,28 +4,28 @@ A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
 An operator is a term list with one `dtype`: float64 when every term is
 exactly real, complex128 otherwise.  Its blocks are assembled in that
-dtype straight from the basis states of their charge sector (`Sector`)
-by index arithmetic: one placement routine, `_placed`, puts a local term
-on a sector and serves the blocks (`ManyBodyOperator.block`), the S+ map
-between two sectors (`raising_map`) and the anticommutator patterns of
-`build_QR`, and one routine, `_assembled`, adds the placed terms up,
-either into a dense array or into a scipy.sparse CSR.  The dense path
-(`dense_matrix`, the dense solves, the S+ map they weigh with, and the
-anticommutators) never builds a CSR; only the iterative path does, and
-only it loads scipy.sparse.  The CSR on the full tensor basis (`sparse`)
-is built only for an operator without charges.  The matrix-free matvec
-(`apply`) stays as an independent path for residuals and for the
-square-identity check: each term reads only the amplitudes of its nonzero
-columns and writes only its nonzero rows, through one matmul with its
-matrix cut to those.  It computes in the common type of the vector and
-the operator, so real models run real matvecs on real vectors.  Basis
-convention: site order follows the site list, with the first site the
-most significant tensor factor, i.e. basis index sum_i s_i * d^(m-1-i) --
-the layout np.kron produces.  An interaction may declare per-site charges
-whose pair sum P conserves, and the single-site S+ of an SU(2) symmetry
-of P; `build_hamiltonian` and `build_QR` hand both to their operators,
-and the spectral solvers then build and solve one total-charge block at a
-time, or only the central block when S+ is declared.
+dtype straight from the basis states of their charge sector (`Sector`;
+for an operator without charges, the whole tensor basis) by index
+arithmetic: one placement routine, `_placed`, puts a local term on a
+sector, and each matrix form has one route from there.  `dense_matrix`
+and the anticommutator patterns of `build_QR` add the placed terms into
+a dense array (`_dense`), `ManyBodyOperator.block` sums them into a
+scipy.sparse CSR (`_sum_csr`), and `raised` applies S+ on every site
+from one sector to the next one up, site by site, with no stored map.
+Only a CSR loads scipy.sparse, and only the iterative path builds one.
+The matrix-free matvec (`apply`) stays as an independent path for
+residuals and for the square-identity check: each term reads only the
+amplitudes of its nonzero columns and writes only its nonzero rows,
+through one matmul with its matrix cut to those.  It computes in the
+common type of the vector and the operator, so real models run real
+matvecs on real vectors.  Basis convention: site order follows the site
+list, with the first site the most significant tensor factor, i.e. basis
+index sum_i s_i * d^(m-1-i) -- the layout np.kron produces.  An
+interaction may declare per-site charges whose pair sum P conserves, and
+the single-site S+ of an SU(2) symmetry of P; `build_hamiltonian` and
+`build_QR` hand both to their operators, and the spectral solvers then
+build and solve one total-charge block at a time, or only the central
+block when S+ is declared.
 
 `weighted_sum` builds sum c * op as one operator.  `CompositeOperator` is
 only a matrix-free sum of operator products (no CSR, no arithmetic).
@@ -231,7 +231,7 @@ def _index_dtype(n: int):
 def _placed(M, pos, cols: Sector, rows: Sector):
     """The entries of the d^k x d^k matrix M on the tensor factors `pos`,
     with its columns on the sector `cols` and its rows on the sector
-    `rows`, as (data, (row, col)), the form `_assembled` adds up.
+    `rows`, as (data, (row, col)), the form `_dense` and `_sum_csr` add up.
 
     Entry (a, b) of M sends each state whose digits at `pos` spell b to
     index + off[a] - off[b], and moves its total charge by a fixed amount.
@@ -265,33 +265,29 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     return np.repeat(M[a, b], sizes), (to.astype(index, copy=False), at.astype(index, copy=False))
 
 
-def _assembled(placed, shape, dtype, dense: bool):
-    """The sum of `_placed` entry lists, consumed one at a time, as a
-    matrix of `shape` and `dtype`.
-
-    dense: a zeroed Fortran-ordered array, each list added in by
+def _dense(placed, n: int, dtype):
+    """The sum of `_placed` entry lists, consumed one at a time, as a zeroed
+    n x n Fortran-ordered array of `dtype`, each list added in by
     A[rows, cols] += data.  That fancy-index add is exact only because no
-    two entries of one list share a position (`_placed`, and `raising_map`,
-    whose sites share none).  The caller owns the array and
-    may let LAPACK overwrite it.  Otherwise: their CSR sum (`_sum_csr`).
-    """
-    if not dense:
-        return _sum_csr(placed, shape)
-    A = np.zeros(shape, dtype=dtype, order="F")
+    two entries of one list share a position (`_placed`).  The caller owns
+    the array and may let LAPACK overwrite it."""
+    A = np.zeros((n, n), dtype=dtype, order="F")
     for data, (rows, cols) in placed:
         A[rows, cols] += data
     return A
 
 
-def raising_map(raising, sector: Sector, image: Sector, dense: bool = False):
-    """sum_j S+_j, the single-site raising operator on every site, from
-    `sector` to `image`: a CSR, or with `dense` a dense array.  S+ moves
-    the charge, so no two sites share an entry, and the entries of all
-    sites make one entry list."""
+def raised(raising, sector: Sector, image: Sector, V):
+    """(sum_j S+_j) V for columns V on `sector`, with S+ the single-site
+    raising operator on every site, as columns on `image`, applied site by
+    site from its `_placed` entries.  Two states of one site may raise to
+    one image row, so each site's products are added by np.add.at."""
     M = raising if raising.imag.any() else raising.real
-    parts = [_placed(M, (j,), sector, image) for j in range(sector.m)]
-    data, rows, cols = (np.concatenate(x) for x in zip(*((v, r, c) for v, (r, c) in parts)))
-    return _assembled([(data, (rows, cols))], (image.size, sector.size), M.dtype, dense)
+    W = np.zeros((image.size, V.shape[1]), dtype=np.result_type(M, V))
+    for j in range(sector.m):
+        data, (rows, cols) = _placed(M, (j,), sector, image)
+        np.add.at(W, rows, data[:, None] * V[cols])
+    return W
 
 
 def _sum_csr(placed, shape):
@@ -365,7 +361,6 @@ class ManyBodyOperator:
         real = not any(M.imag.any() for M in mats)
         self.dtype = np.dtype(np.float64 if real else np.complex128)
         self._mats = [np.ascontiguousarray(M.real if real else M) for M in mats]
-        self._csr = None
         self._cut = None
 
     @property
@@ -379,21 +374,15 @@ class ManyBodyOperator:
     def n_terms(self) -> int:
         return len(self._mats)
 
-    def sparse(self):
-        """The operator on the full tensor basis as a CSR matrix of `dtype`,
-        assembled on first use and kept; the solvers use it only for an
-        operator without charges on the iterative path."""
-        if self._csr is None:
-            self._csr = self.block(Sector(len(self.site_list), self.d))
-        return self._csr
+    def _placed_terms(self, sector: Sector):
+        """The `_placed` entries of each term on `sector`, one term at a time."""
+        return (_placed(M, pos, sector, sector) for pos, M in zip(self._positions, self._mats))
 
-    def block(self, sector: Sector, dense: bool = False):
-        """The operator on the states of `sector` in `dtype`, each term placed
-        once: a CSR, or with `dense` a dense Fortran-ordered array that the
-        caller owns (`_assembled`); ValueError if a term couples different
-        sectors."""
-        terms = (_placed(M, pos, sector, sector) for pos, M in zip(self._positions, self._mats))
-        return _assembled(terms, (sector.size, sector.size), self.dtype, dense)
+    def block(self, sector: Sector):
+        """The operator on the states of `sector` as a CSR of `dtype`, each
+        term placed once (`_sum_csr`); ValueError if a term couples
+        different sectors."""
+        return _sum_csr(self._placed_terms(sector), (sector.size, sector.size))
 
     def _cut_terms(self):
         """Per nonzero term, built on first use and kept: the state shape with
@@ -535,8 +524,7 @@ def _anticommutator(term1, term2, d: int):
     union = tuple(dict.fromkeys(term1[0] + term2[0]))
     full = Sector(len(union), d)
     A, B = (
-        _assembled([_placed(M, [union.index(s) for s in sites], full, full)],
-                   (full.size, full.size), M.dtype, dense=True)
+        _dense([_placed(M, [union.index(s) for s in sites], full, full)], full.size, M.dtype)
         for sites, M in (term1, term2)
     )
     return union, A @ B + B @ A
@@ -592,7 +580,7 @@ def dense_matrix(op, limit: int = DEFAULT_DENSE_LIMIT, sector: Sector | None = N
             f"dimension {sector.size} exceeds dense limit {limit}; at d={op.d} "
             + (f"at most {fit} sites fit" if fit else "not even one site fits")
         )
-    return op.block(sector, dense=True)
+    return _dense(op._placed_terms(sector), sector.size, op.dtype)
 
 
 @dataclass

@@ -8,18 +8,17 @@ straight from the basis indices of one total charge.  Dimensions up to
 straight into one Fortran-ordered array (`dense_matrix`, no CSR) that
 LAPACK overwrites in place (no second n x n copy), and Hermitian `eigh`
 solves it for only the lowest pairs asked for.  Larger ones take the
-iterative path: the block is assembled as a CSR, and ARPACK's implicitly
-restarted Lanczos (which='SA') runs on it, with a seeded start vector for
-determinism and a widened Krylov basis to resolve the clustered near-zero
-spectra frustration-free Hamiltonians produce.  Only that path loads
-scipy.sparse and ARPACK.  The CSR on the full tensor basis
-(`op.sparse()`) is built only for an operator without charges.
-Residuals come from the matrix-free `apply`, a path independent of both
-assemblies.
+iterative path: the block is assembled as a CSR (`op.block`) at its first
+ARPACK run, and ARPACK's implicitly restarted Lanczos (which='SA') runs
+on it, with a seeded start vector for determinism and a widened Krylov
+basis to resolve the clustered near-zero spectra frustration-free
+Hamiltonians produce.  Only that path loads scipy.sparse and ARPACK; its
+dense fallbacks place their arrays as the dense path does.  Residuals
+come from the matrix-free `apply`, a path independent of both assemblies.
 
 There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalue`
-and the inequality witness built on it.  `_sectors` builds the blocks it
-solves, and no others, and a weight for each eigenvalue:
+and the inequality witness built on it.  `_sectors` names the sectors
+whose blocks it solves, and no others, and a weight for each eigenvalue:
 - no charges: the whole operator is one block, each eigenvalue weighs 1;
 - per-site charges (both built-ins conserve total S^z) but no S+: every
   total-charge block, built and solved one at a time, each eigenvalue
@@ -28,8 +27,9 @@ solves, and no others, and a weight for each eigenvalue:
   (both built-ins; model files carry no S+): only the central block,
   total S^z = M0 with M0 = 0, or 1/2 when 0 cannot occur.  Each multiplet
   of total spin S has one member there, so each central eigenvalue weighs
-  2S+1, with S read off the Gram matrix of S+ on its cluster of
-  (numerically) degenerate eigenvectors: |S+ v|^2 = S(S+1) - M0(M0+1).
+  2S+1, with S read off the Gram matrix of S+ (applied site by site,
+  `raised`) on its cluster of (numerically) degenerate eigenvectors:
+  |S+ v|^2 = S(S+1) - M0(M0+1).
   A cluster that k may have cut waits until k is widened past it, and a
   2S+1 that is not an integer is a SolverConvergenceError.
 k widens until a block's weights reach max(k, kernel + 1) or the block is
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from gapcert.operators import DEFAULT_DENSE_LIMIT, Sector, dense_matrix, raising_map, weighted_sum
+from gapcert.operators import DEFAULT_DENSE_LIMIT, Sector, dense_matrix, raised, weighted_sum
 
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
@@ -181,9 +181,9 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     return vals[order], vecs[:, order]
 
 
-def _multiplicities(raising, m0: float, vals, vecs, exhausted: bool):
+def _multiplicities(raise_, m0: float, vals, vecs, exhausted: bool):
     """2S+1 of each central-block pair in the complete clusters of `vals`;
-    raising() is the map of S+ from the central block (`raising_map`).
+    raise_(V) is S+ V, from the central block to the next one up (`raised`).
 
     A cluster is a run of eigenvalues each within CLUSTER_TOL of the next.
     The top cluster may be cut by k, so it is left out unless the block is
@@ -196,7 +196,7 @@ def _multiplicities(raising, m0: float, vals, vecs, exhausted: bool):
     bounds = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1).tolist(), len(vals)]
     if not exhausted:
         bounds.pop()
-    W = raising() @ vecs[:, : bounds[-1]]
+    W = raise_(vecs[:, : bounds[-1]])
     gram = W.conj().T @ W
     weights = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -217,41 +217,20 @@ def _unit_weights(vals, vecs, exhausted: bool):
     return np.ones(len(vals), dtype=int)
 
 
-class _DenseBlock:
-    """A block of `op` on `sector` for the dense path.  It holds no matrix:
-    each `toarray` places the terms into a new dense array (`dense_matrix`),
-    since each dense solve consumes its array.  `toarray` takes the CSR's
-    `order` argument, and its array is always Fortran-ordered."""
-
-    def __init__(self, op, sector: Sector):
-        self.op, self.sector = op, sector
-        self.shape = (sector.size, sector.size)
-
-    def toarray(self, order="F"):
-        return dense_matrix(self.op, self.sector.size, self.sector)
-
-
-def _sectors(op, dense: bool = False):
-    """(block, basis indices, weigh) of each block to solve, built one at a
-    time as the caller asks for it.  A block is a CSR, or with `dense` a
-    `_DenseBlock`; the S+ map of the central block is dense alike.
+def _sectors(op):
+    """(sector, basis indices, weigh) of each block to solve, in turn.
 
     No charges: the whole operator, unit weights.  Charges without S+:
     each total-charge block, ascending charge, on its own `Sector` (indices
     ascending), unit weights.  Charges with S+: the central block, the
     states of the smallest non-negative total charge `low`, weighed by
-    `_multiplicities` with the S+ map to the block of charge low + step,
-    built on first use; M0 = low / step, with step the charge difference
-    across any nonzero of S+.  No other block is built.
+    `_multiplicities` with S+ applied (`raised`) into the sector of charge
+    low + step, built on first use; M0 = low / step, with step the charge
+    difference across any nonzero of S+.  No other sector is built.
     """
-    def block(sector):
-        if dense:
-            return _DenseBlock(op, sector)
-        return op.sparse() if sector.charges is None else op.block(sector)
-
     m, d, Sp = len(op.site_list), op.d, op.raising
     if op.charges is None:
-        yield block(Sector(m, d)), slice(None), _unit_weights
+        yield Sector(m, d), slice(None), _unit_weights
         return
     totals = {0}
     for _ in op.site_list:
@@ -259,44 +238,48 @@ def _sectors(op, dense: bool = False):
     if Sp is None:
         for t in sorted(totals):
             sector = Sector(m, d, op.charges, t)
-            yield block(sector), sector.indices, _unit_weights
+            yield sector, sector.indices, _unit_weights
         return
     low = min(t for t in totals if t >= 0)
     a, b = (int(i[0]) for i in np.nonzero(Sp))
     step = op.charges[a] - op.charges[b]
     central = Sector(m, d, op.charges, low)
-    raising = functools.cache(
-        lambda: raising_map(Sp, central, Sector(m, d, op.charges, low + step), dense)
+    image = functools.cache(lambda: Sector(m, d, op.charges, low + step))
+    weigh = functools.partial(
+        _multiplicities, lambda V: raised(Sp, central, image(), V), low / step
     )
-    weigh = functools.partial(_multiplicities, raising, low / step)
-    yield block(central), central.indices, weigh
+    yield central, central.indices, weigh
 
 
-def _block_lowest(B, config: EigenSolveConfig, iterative: bool, kernel_tol: float, weigh):
-    """(vals, vecs, weights) of the lowest pairs of one block.
+def _block_lowest(op, sector: Sector, config: EigenSolveConfig, kernel_tol: float, weigh):
+    """(vals, vecs, weights) of the lowest pairs of the block of `op` on
+    `sector`.
 
     `weigh(vals, vecs, exhausted)` gives the weights of vals[:len(weights)].
     Starting from min(dim, config.k) pairs, k doubles until the weighed
     pairs expand to max(config.k, kernel + 1) values, kernel being their
-    weight at or below kernel_tol, or the block is exhausted.  On the
-    iterative path ARPACK runs while its k fits under dim - 2 and
-    config.max_k; a block too small for ARPACK to reach far enough, or one
-    of at most DEFAULT_DENSE_LIMIT states that ARPACK refuses, is solved by
-    dense eigh instead.  Each dense attempt densifies B afresh
-    (`B.toarray`), since `_dense_lowest` consumes its array.
+    weight at or below kernel_tol, or the block is exhausted.  The path is
+    the iterative one when op's whole dimension passes config.dense_limit:
+    ARPACK runs on the block's CSR, built at its first run, while its k
+    fits under dim - 2 and config.max_k; a block too small for ARPACK to
+    reach far enough, or one of at most DEFAULT_DENSE_LIMIT states that
+    ARPACK refuses, is solved by dense eigh instead.  Each dense attempt
+    places the block into a new array (`dense_matrix`), since
+    `_dense_lowest` consumes it.
     """
-    n = B.shape[0]
-    arpack = iterative and max(config.k, 2) <= n - 2
+    n = sector.size
+    arpack = op.dimension > config.dense_limit and max(config.k, 2) <= n - 2
     k = max(config.k, 2) if arpack else min(config.k, n)
+    csr = functools.cache(lambda: op.block(sector))
     while True:
         if arpack:
-            found = _arpack_lowest(B, config, k)
+            found = _arpack_lowest(csr(), config, k)
             if found is None:
                 arpack = False
                 continue
             vals, vecs = found
         else:
-            vals, vecs = _dense_lowest(B.toarray(order="F"), k)
+            vals, vecs = _dense_lowest(dense_matrix(op, n, sector), k)
         exhausted = len(vals) == n
         w = weigh(vals, vecs, exhausted)
         kernel = w[vals[: len(w)] <= kernel_tol].sum()
@@ -321,12 +304,11 @@ def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
     when the operator's whole dimension is at most config.dense_limit, else
     "iterative".
     """
-    iterative = op.dimension > config.dense_limit
     solved = [
-        (*_block_lowest(B, config, iterative, kernel_tol, weigh), idx)
-        for B, idx, weigh in _sectors(op, not iterative)
+        (*_block_lowest(op, sector, config, kernel_tol, weigh), idx)
+        for sector, idx, weigh in _sectors(op)
     ]
-    return solved, "iterative" if iterative else "dense"
+    return solved, "iterative" if op.dimension > config.dense_limit else "dense"
 
 
 def _merge_lowest(op, solved, count: int):
@@ -352,12 +334,11 @@ def _merge_lowest(op, solved, count: int):
 def lowest_eigenvalue(op, config: EigenSolveConfig | None = None) -> float:
     """The smallest eigenvalue of a Hermitian operator, as a float: the least
     first value of the blocks of `_sectors`, each solved with no kernel and
-    unit weights, so no S+ map is built and no residual computed."""
+    unit weights, so S+ is never applied and no residual computed."""
     config = config or DEFAULT_CONFIG
-    iterative = op.dimension > config.dense_limit
     return min(
-        float(_block_lowest(B, config, iterative, -np.inf, _unit_weights)[0][0])
-        for B, _, _ in _sectors(op, not iterative)
+        float(_block_lowest(op, sector, config, -np.inf, _unit_weights)[0][0])
+        for sector, _, _ in _sectors(op)
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gapcert import operators
+from gapcert import operators, spectral
 from gapcert.cli import main
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import (
@@ -24,7 +24,7 @@ from gapcert.operators import (
     build_hamiltonian,
     build_QR,
     dense_matrix,
-    raising_map,
+    raised,
     weighted_sum,
 )
 from gapcert.spectral import (
@@ -122,11 +122,11 @@ class TestBlockAssembly:
 
     def test_solved_blocks_are_principal_submatrices(self, name, factory, m, periodic):
         H = hamiltonian(factory(), 1, m, periodic)
-        full = one_block(H).sparse()
+        full = one_block(H).block(Sector(m, H.d))
         blocks = list(_sectors(H))
         assert len(blocks) == (1 if H.raising is not None else 2 * m * max(H.charges) + 1)
-        for B, idx, _ in blocks:
-            want = full[idx][:, idx]
+        for sector, idx, _ in blocks:
+            B, want = H.block(sector), full[idx][:, idx]
             assert B.dtype == want.dtype == H.dtype
             assert np.array_equal(B.toarray(), want.toarray())
 
@@ -134,7 +134,7 @@ class TestBlockAssembly:
         # each total charge on its own label: the labels' states partition
         # the basis, and each block is the principal submatrix on its states
         H = hamiltonian(factory(), 1, m, periodic)
-        full = one_block(H).sparse()
+        full = one_block(H).block(Sector(m, H.d))
         labels = np.array(H.charges)[np.indices((H.d,) * m).reshape(m, -1)].sum(axis=0)
         seen = []
         for label in np.unique(labels).tolist():
@@ -162,7 +162,10 @@ def test_dense_and_csr_assembly_agree(name, factory, D, side, periodic):
     # the dense path adds the terms one at a time into its array, the CSR
     # path sums them pairwise: the same entries in another summation order,
     # so within a few eps per term, and exactly where every sum is exact
-    # (the ferro entries are multiples of 1/2)
+    # (the ferro entries are multiples of 1/2); S+ applied site by site to
+    # the identity columns of a sector is the sector-to-image submatrix of
+    # the dense sum of single-site S+ terms, bit for bit, since each entry
+    # comes from one site only
     model = factory()
     dec = build_QR(model, grid_edges(D, side, periodic=periodic), grid_sites(D, side))
     m, d, charges = side**D, model.d, model.charges
@@ -183,10 +186,13 @@ def test_dense_and_csr_assembly_agree(name, factory, D, side, periodic):
                 tol = 4 * np.finfo(np.float64).eps * op.n_terms * np.abs(want).max()
                 assert_allclose(got, want, rtol=0, atol=tol)
     if model.raising is not None:
+        site_list = grid_sites(D, side)
+        up = ManyBodyOperator(site_list, d, [((s,), model.raising) for s in site_list])
+        full = dense_matrix(up, up.dimension)
         for sector, image in zip(sectors, sectors[1:]):
-            want = raising_map(model.raising, sector, image).toarray()
-            got = raising_map(model.raising, sector, image, True)
-            assert got.dtype == want.dtype
+            got = raised(model.raising, sector, image, np.eye(sector.size))
+            want = full[np.ix_(image.indices, sector.indices)]
+            assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
 
 
@@ -209,18 +215,43 @@ def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):
     assert any(full_space)
 
 
+def test_iterative_path_builds_a_csr_only_for_arpack(capsys, monkeypatch, tmp_path):
+    # a saved ferro 3x3 open box has charge blocks 1, 9, 36, 84, 126, 126,
+    # 84, 36, 9, 1; ARPACK needs k = 8 <= dim - 2, so the blocks of 1 and 9
+    # states are placed densely, and only the others are summed into a CSR
+    csr, dense = [], []
+    sum_csr, place_dense = operators._sum_csr, spectral.dense_matrix
+
+    def spy_csr(placed, shape):
+        csr.append(shape[0])
+        return sum_csr(placed, shape)
+
+    def spy_dense(op, limit, sector):
+        dense.append(sector.size)
+        return place_dense(op, limit, sector)
+
+    monkeypatch.setattr(operators, "_sum_csr", spy_csr)
+    monkeypatch.setattr(spectral, "dense_matrix", spy_dense)
+    save_model(heisenberg_ferro(), tmp_path / "ferro.model")
+    argv = ["gap", "--model", str(tmp_path / "ferro.model"), "--D", "2", "--n", "2"]
+    assert main([*argv, "--dense-limit", "1"]) == 0
+    assert "method: iterative" in capsys.readouterr().out
+    assert csr == [36, 84, 126, 126, 84, 36]
+    assert dense == [1, 9, 9, 1]
+
+
 class TestBlocks:
     def test_ferro_blocks_are_sz_sectors(self):
         # charges without S+, so every block is solved
         H = hamiltonian(heisenberg_ferro(), 1, 6, False)
         blocks = list(_sectors(ManyBodyOperator(H.site_list, H.d, H.terms, H.charges)))
-        assert [B.shape[0] for B, _, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
+        assert [sector.size for sector, _, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
         covered = np.sort(np.concatenate([idx for _, idx, _ in blocks]))
         assert (covered == np.arange(H.dimension)).all()
 
     def test_no_charges_is_one_block(self):
         H = one_block(hamiltonian(heisenberg_ferro(), 1, 4, False))
-        assert [B.shape[0] for B, _, _ in _sectors(H)] == [16]
+        assert [sector.size for sector, _, _ in _sectors(H)] == [16]
 
     def test_all_kernel_blocks_undefined(self):
         # every block is pure kernel, so there is no gap anywhere

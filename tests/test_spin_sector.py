@@ -16,7 +16,7 @@ from gapcert.operators import (
     NNInteraction,
     Sector,
     build_hamiltonian,
-    raising_map,
+    raised,
 )
 from gapcert.spectral import (
     KERNEL_TOL,
@@ -77,9 +77,9 @@ class TestOneSector:
         seen = []
         inner = spectral._block_lowest
 
-        def spy(B, *args):
-            seen.append(B.shape[0])
-            return inner(B, *args)
+        def spy(op, sector, *args):
+            seen.append(sector.size)
+            return inner(op, sector, *args)
 
         monkeypatch.setattr(spectral, "_block_lowest", spy)
         H = chain(factory(), m)
@@ -105,9 +105,30 @@ class TestOneSector:
         want = raising.apply(full)
         sectors = [Sector(m, H.d, H.charges, label) for label in (low, low + step)]
         assert [s.indices.tolist() for s in sectors] == [idx.tolist(), up.tolist()]
-        got = raising_map(H.raising, *sectors) @ V
+        got = raised(H.raising, *sectors, V)
         assert_allclose(got, want[up], rtol=0, atol=1e-14)
         assert np.linalg.norm(want) == pytest.approx(np.linalg.norm(got), rel=1e-14)
+
+
+def test_raised_adds_image_rows_that_repeat_within_a_site():
+    # two spin-1/2 doublets on one site, mixed by a Hadamard: S+ sends both
+    # down states d1 and d2 of a site into u1 and u2 at once, so two states
+    # of one site share each image row, and only an unbuffered add
+    # (np.add.at) sums both; the reference is the full-space sum of the
+    # single-site S+ terms on the embedded columns
+    r = np.sqrt(0.5)
+    Sp = np.zeros((4, 4))
+    Sp[:2, 2:] = [[r, r], [r, -r]]
+    charges = (1, 1, -1, -1)
+    model = NNInteraction(d=4, P=np.zeros((16, 16)), charges=charges, raising=Sp)
+    sites = [(0,), (1,), (2,)]
+    sectors = [Sector(3, 4, charges, label) for label in (-1, 1)]
+    V = np.random.default_rng(1).standard_normal((sectors[0].size, 3))
+    full = np.zeros((4**3, 3))
+    full[sectors[0].indices] = V
+    up = ManyBodyOperator(sites, 4, [((s,), model.raising) for s in sites])
+    want = up.apply(full)[sectors[1].indices]
+    assert_allclose(raised(model.raising, *sectors, V), want, rtol=0, atol=1e-14)
 
 
 def test_aklt_open_kernel_is_singlet_plus_triplet():
@@ -139,21 +160,21 @@ def test_reloaded_model_solves_all_blocks(tmp_path):
 @pytest.fixture
 def spies(monkeypatch):
     """The block sizes `_block_lowest` is given with no kernel (the witness
-    solves), and a count of the S+ maps built."""
-    seen = {"witness blocks": [], "raising maps": 0}
-    block_lowest, raising = spectral._block_lowest, spectral.raising_map
+    solves), and a count of the times S+ is applied."""
+    seen = {"witness blocks": [], "S+ applied": 0}
+    block_lowest, raising = spectral._block_lowest, spectral.raised
 
-    def spy_block(B, config, iterative, kernel_tol, weigh):
+    def spy_block(op, sector, config, kernel_tol, weigh):
         if kernel_tol == -np.inf:
-            seen["witness blocks"].append(B.shape[0])
-        return block_lowest(B, config, iterative, kernel_tol, weigh)
+            seen["witness blocks"].append(sector.size)
+        return block_lowest(op, sector, config, kernel_tol, weigh)
 
     def spy_raising(*args):
-        seen["raising maps"] += 1
+        seen["S+ applied"] += 1
         return raising(*args)
 
     monkeypatch.setattr(spectral, "_block_lowest", spy_block)
-    monkeypatch.setattr(spectral, "raising_map", spy_raising)
+    monkeypatch.setattr(spectral, "raised", spy_raising)
     return seen
 
 
@@ -169,9 +190,9 @@ class TestWitnessSolvesOneBlock:
         central = Sector(6, 3, H.charges, 0).size
         w = aligned_pair_witness(aklt(), 6)
         assert spies["witness blocks"] == [central]
-        assert spies["raising maps"] == 0
-        spectral_gap(H)  # the gap weighs by 2S+1, so it does build the map
-        assert spies["raising maps"] == 1
+        assert spies["S+ applied"] == 0
+        spectral_gap(H)  # the gap weighs by 2S+1, so it does apply S+
+        assert spies["S+ applied"] == 1
         assert w >= -1e-10
 
     def test_reloaded_model_solves_every_charge_block(self, spies, tmp_path):
@@ -225,7 +246,7 @@ class TestRefusals:
 
     def test_off_integer_multiplicity_exits_2(self, capsys, monkeypatch):
         # a raising operator 5% too long moves every |S+ v|^2 off S(S+1) - M0(M0+1)
-        monkeypatch.setattr(spectral, "raising_map", lambda *a: 1.05 * raising_map(*a))
+        monkeypatch.setattr(spectral, "raised", lambda *a: 1.05 * raised(*a))
         rc = main(["gap", "--model", "heisenberg-ferro", "--n", "4"])
         assert rc == 2
         assert "not integers" in capsys.readouterr().err
