@@ -4,10 +4,12 @@ A nearest-neighbor interaction is a projection P on C^d (x) C^d; embedding
 it on an edge (j, k) of a site list gives h_{j,k} = P (x) Id_elsewhere.
 An operator is a term list with one `dtype`: float64 when every term is
 exactly real, complex128 otherwise.  Its blocks are assembled in that
-dtype straight from the basis states of their charge sector (`Sector`;
-for an operator without charges, the whole tensor basis) by index
-arithmetic: one placement routine, `_placed`, puts a local term on a
-sector, and each matrix form has one route from there.  `dense_matrix`
+dtype straight from the basis states of their charge sector by index
+arithmetic.  A `Sector` is only the sorted indices of one total charge,
+each digit read off its index; with every charge 0 it is the whole
+tensor basis, the one sector of an operator without charges.  One
+placement routine, `_placed`, puts a local term on a sector, and each
+matrix form has one route from there.  `dense_matrix`
 and the anticommutator patterns of `build_QR` add the placed terms into
 a dense array (`_dense`), `ManyBodyOperator.block` sums them into a
 scipy.sparse CSR (`_sum_csr`), and `raised` applies S+ on every site
@@ -167,19 +169,17 @@ class NNInteraction:
 
 
 class Sector:
-    """The basis states of m sites of dimension d that a block is built on.
-
-    Without `charges`: every index 0..d^m-1, in order.  With per-site
-    integer `charges`: the states of total charge `label`, in ascending
-    index order (`indices`), and the digit of each of them on every site.
+    """The basis states of m sites of dimension d whose per-site integer
+    `charges` add up to `label`, in ascending index order (`indices`); a
+    block is built on them.  Nothing is stored per site: a state's digit on
+    site p is indices // strides[p] % d.  `Sector(m, d)` takes every charge
+    0, so it is the whole basis, every index 0..d^m-1.
     """
 
-    def __init__(self, m: int, d: int, charges=None, label=None):
+    def __init__(self, m: int, d: int, charges=None, label: int = 0):
+        charges = tuple(charges or (0,) * d)
         self.m, self.d, self.charges, self.label = m, d, charges, label
         self.strides = d ** (m - 1 - np.arange(m, dtype=np.int64))
-        self.size, self.indices = d**m, None
-        if charges is None:
-            return
         # the smallest integer type that holds every total and their differences
         q = np.asarray(charges, dtype=np.min_scalar_type(-2 * m * max(map(abs, charges))))
         labels = np.zeros(1, dtype=q.dtype)
@@ -187,30 +187,15 @@ class Sector:
             labels = (labels[:, None] + q).ravel()
         self.indices = np.flatnonzero(labels == label)
         self.size = len(self.indices)
-        digit = np.min_scalar_type(d - 1)
-        self.digits = [(self.indices // s % d).astype(digit) for s in self.strides]
-
-    def _offsets(self, sites):
-        """Index of each digit pattern on the tensor factors `sites`, all
-        other digits 0."""
-        off = np.zeros(1, dtype=np.int64)
-        for p in sites:
-            off = (off[:, None] + self.strides[p] * np.arange(self.d)).ravel()
-        return off
 
     def _runs(self, pos, *patterns):
         """For each array of digit patterns on the tensor factors `pos`, the
         positions of the states that spell each pattern in turn, each run in
-        index order, and the run lengths."""
+        index order, and the run lengths; each digit is read off `indices`."""
         d, k = self.d, len(pos)
-        if self.charges is None:  # every state, in index order
-            base = self._offsets([i for i in range(self.m) if i not in pos])
-            off = self._offsets(pos)
-            return [((off[x][:, None] + base).ravel(), np.full(len(x), base.size))
-                    for x in patterns]
         local = np.zeros(self.size, dtype=np.min_scalar_type(d**k - 1))
         for p in pos:
-            local = local * d + self.digits[p]
+            local = local * d + (self.indices // self.strides[p] % d).astype(local.dtype)
         grouped = np.argsort(local, kind="stable")  # a radix sort on these small types
         counts = np.bincount(local, minlength=d**k)
         starts = np.cumsum(counts) - counts
@@ -234,7 +219,8 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     `rows`, as (data, (row, col)), the form `_dense` and `_sum_csr` add up.
 
     Entry (a, b) of M sends each state whose digits at `pos` spell b to
-    index + off[a] - off[b], and moves its total charge by a fixed amount.
+    index + off[a] - off[b], off[b] being the index whose digits at `pos`
+    spell b and are 0 elsewhere, and moves its total charge by a fixed amount.
     An entry that does not move it by rows.label - cols.label is refused:
     the term couples different sectors.  Otherwise the images of the
     pattern-b run of `cols` are the pattern-a run of `rows`, in order.
@@ -242,21 +228,21 @@ def _placed(M, pos, cols: Sector, rows: Sector):
     a CSR built from them needs no sort.  No two entries share a (row, col)
     position: entries with one b have distinct a, hence distinct rows.
     """
-    off = cols._offsets(pos)
+    digits = np.indices((cols.d,) * len(pos)).reshape(len(pos), -1)  # a column per pattern
+    off = cols.strides[list(pos)] @ digits
+    charge = np.asarray(cols.charges)[digits].sum(axis=0)
     a, b = np.nonzero(M)
     order = np.argsort(off[b], kind="stable")
     a, b = a[order], b[order]
-    if cols.charges is not None:
-        charge = np.asarray(cols.charges)[np.indices((cols.d,) * len(pos))].sum(axis=0).ravel()
-        moved = charge[a] - charge[b]
-        want = rows.label - cols.label
-        if np.any(moved != want):
-            j = int(np.argmax(moved != want))
-            raise ValueError(
-                f"term on tensor factors {tuple(pos)} couples different sectors of the "
-                f"charges {tuple(cols.charges)}: its entry ({a[j]}, {b[j]}) moves the "
-                f"total charge by {moved[j]}, not {want}"
-            )
+    moved = charge[a] - charge[b]
+    want = rows.label - cols.label
+    if np.any(moved != want):
+        j = int(np.argmax(moved != want))
+        raise ValueError(
+            f"term on tensor factors {tuple(pos)} couples different sectors of the "
+            f"charges {cols.charges}: its entry ({a[j]}, {b[j]}) moves the "
+            f"total charge by {moved[j]}, not {want}"
+        )
     if rows is cols:
         (at, sizes), (to, _) = cols._runs(pos, b, a)
     else:

@@ -3,7 +3,7 @@
 The gap of a positive-semidefinite operator is its smallest eigenvalue
 strictly above the kernel tolerance; kernel multiplicity never enters.
 Every solve works on blocks, real when the model is real, each assembled
-straight from the basis indices of one total charge.  Dimensions up to
+straight from one charge sector's sorted basis indices.  Dimensions up to
 `dense_limit` take the dense path: each attempt places the block's terms
 straight into one Fortran-ordered array (`dense_matrix`, no CSR) that
 LAPACK overwrites in place (no second n x n copy), and Hermitian `eigh`
@@ -19,7 +19,8 @@ come from the matrix-free `apply`, a path independent of both assemblies.
 There is one solve loop, shared by `spectral_gap`, `lowest_eigenvalue`
 and the inequality witness built on it.  `_sectors` names the sectors
 whose blocks it solves, and no others, and a weight for each eigenvalue:
-- no charges: the whole operator is one block, each eigenvalue weighs 1;
+- no charges: every charge is 0, so the single total 0 is one block, the
+  whole basis, and each eigenvalue weighs 1;
 - per-site charges (both built-ins conserve total S^z) but no S+: every
   total-charge block, built and solved one at a time, each eigenvalue
   weighs 1;
@@ -67,6 +68,8 @@ KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # central eigenvalues this close belong to one cluster
 MULTIPLICITY_TOL = 1e-6  # largest distance of a computed 2S+1 from an integer
 RESIDUAL_BATCH = 4  # columns per matvec in _residuals
+MAX_ITER = 20000  # ARPACK's maxiter
+MAX_K = 64  # cap on the adaptive escalation of an ARPACK solve's k
 
 
 class SolverConvergenceError(RuntimeError):
@@ -87,16 +90,14 @@ class EigenSolveConfig:
 
     dense_limit is the dimension at or below which the dense path is used
     (the operator's whole dimension, also when it is solved by blocks), and
-    the largest matrix a dense-only witness materializes.  max_k caps the
-    adaptive escalation of an ARPACK solve's k, which converges to machine
-    precision (ARPACK tol = 0).
+    the largest matrix a dense-only witness materializes.  An ARPACK solve
+    converges to machine precision (ARPACK tol = 0) within MAX_ITER
+    iterations, and its k escalates up to MAX_K.
     """
 
     k: int = 8
-    max_iter: int | None = None
     seed: int = 7
     dense_limit: int = DEFAULT_DENSE_LIMIT
-    max_k: int = 64
 
     def __post_init__(self):
         if self.k < 1:
@@ -153,7 +154,6 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
     if np.iscomplexobj(A):
         v0 = v0 + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    maxiter = config.max_iter or 20000
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             A,
@@ -161,7 +161,7 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
             which="SA",
             v0=v0,
             ncv=min(dim, max(2 * k + 16, 52)),
-            maxiter=maxiter,
+            maxiter=MAX_ITER,
             tol=0,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -169,7 +169,7 @@ def _arpack_lowest(A, config: EigenSolveConfig, k: int):
         found = np.sort(exc.eigenvalues.real).tolist()
         raise SolverConvergenceError(
             f"ARPACK converged {len(found)} of {k} eigenpairs at dim {dim} "
-            f"within maxiter={maxiter}; converged Ritz values, not known to be "
+            f"within maxiter={MAX_ITER}; converged Ritz values, not known to be "
             f"the lowest: {found}"
         ) from exc
     except scipy.sparse.linalg.ArpackError as exc:
@@ -218,37 +218,35 @@ def _unit_weights(vals, vecs, exhausted: bool):
 
 
 def _sectors(op):
-    """(sector, basis indices, weigh) of each block to solve, in turn.
+    """(sector, weigh) of each block to solve, in turn.
 
-    No charges: the whole operator, unit weights.  Charges without S+:
-    each total-charge block, ascending charge, on its own `Sector` (indices
-    ascending), unit weights.  Charges with S+: the central block, the
-    states of the smallest non-negative total charge `low`, weighed by
-    `_multiplicities` with S+ applied (`raised`) into the sector of charge
-    low + step, built on first use; M0 = low / step, with step the charge
-    difference across any nonzero of S+.  No other sector is built.
+    Charges without S+: each total-charge block, ascending charge, on its
+    own `Sector`, unit weights; an operator without charges has the single
+    total 0, so its one block is the whole basis.  Charges with S+: the
+    central block, the states of the smallest non-negative total charge
+    `low`, weighed by `_multiplicities` with S+ applied (`raised`) into the
+    sector of charge low + step, built on first use; M0 = low / step, with
+    step the charge difference across any nonzero of S+.  No other sector
+    is built.
     """
     m, d, Sp = len(op.site_list), op.d, op.raising
-    if op.charges is None:
-        yield Sector(m, d), slice(None), _unit_weights
-        return
+    charges = op.charges or (0,) * d
     totals = {0}
     for _ in op.site_list:
-        totals = {t + q for t in totals for q in op.charges}
+        totals = {t + q for t in totals for q in charges}
     if Sp is None:
         for t in sorted(totals):
-            sector = Sector(m, d, op.charges, t)
-            yield sector, sector.indices, _unit_weights
+            yield Sector(m, d, charges, t), _unit_weights
         return
     low = min(t for t in totals if t >= 0)
     a, b = (int(i[0]) for i in np.nonzero(Sp))
-    step = op.charges[a] - op.charges[b]
-    central = Sector(m, d, op.charges, low)
-    image = functools.cache(lambda: Sector(m, d, op.charges, low + step))
+    step = charges[a] - charges[b]
+    central = Sector(m, d, charges, low)
+    image = functools.cache(lambda: Sector(m, d, charges, low + step))
     weigh = functools.partial(
         _multiplicities, lambda V: raised(Sp, central, image(), V), low / step
     )
-    yield central, central.indices, weigh
+    yield central, weigh
 
 
 def _block_lowest(op, sector: Sector, config: EigenSolveConfig, kernel_tol: float, weigh):
@@ -261,7 +259,7 @@ def _block_lowest(op, sector: Sector, config: EigenSolveConfig, kernel_tol: floa
     weight at or below kernel_tol, or the block is exhausted.  The path is
     the iterative one when op's whole dimension passes config.dense_limit:
     ARPACK runs on the block's CSR, built at its first run, while its k
-    fits under dim - 2 and config.max_k; a block too small for ARPACK to
+    fits under dim - 2 and MAX_K; a block too small for ARPACK to
     reach far enough, or one of at most DEFAULT_DENSE_LIMIT states that
     ARPACK refuses, is solved by dense eigh instead.  Each dense attempt
     places the block into a new array (`dense_matrix`), since
@@ -287,34 +285,21 @@ def _block_lowest(op, sector: Sector, config: EigenSolveConfig, kernel_tol: floa
             return vals[: len(w)], vecs[:, : len(w)], w
         if not arpack:
             k = min(2 * k, n)
-        elif k < min(config.max_k, n - 2):
-            k = min(2 * k, config.max_k, n - 2)
-        elif n - 2 < config.max_k:
+        elif k < min(MAX_K, n - 2):
+            k = min(2 * k, MAX_K, n - 2)
+        elif n - 2 < MAX_K:
             arpack, k = False, n
         else:
             raise GapUndefinedError(
                 f"the lowest {k} eigenvalues of a {n}-state block do not reach "
-                f"past its kernel (k={k}, max_k={config.max_k})"
+                f"past its kernel (k={k}, max_k={MAX_K})"
             )
-
-
-def _solve_blocks(op, config: EigenSolveConfig, kernel_tol: float):
-    """Lowest pairs as ([(vals, vecs, weights, basis indices)], method), one
-    entry per block of `_sectors`.  The path is one for all blocks: "dense"
-    when the operator's whole dimension is at most config.dense_limit, else
-    "iterative".
-    """
-    solved = [
-        (*_block_lowest(op, sector, config, kernel_tol, weigh), idx)
-        for sector, idx, weigh in _sectors(op)
-    ]
-    return solved, "iterative" if op.dimension > config.dense_limit else "dense"
 
 
 def _merge_lowest(op, solved, count: int):
     """The lowest `count` eigenvalues over all solved blocks, ascending, each
     repeated by its weight, and for each copy the residual of its
-    eigenvector embedded back into the full space."""
+    eigenvector embedded back into the full space at its sector's indices."""
     merged = [
         (v, b, c) for b, (vals, _, _, _) in enumerate(solved) for c, v in enumerate(vals)
     ]
@@ -324,8 +309,8 @@ def _merge_lowest(op, solved, count: int):
     dtype = np.result_type(*(vecs for _, vecs, _, _ in solved))
     vecs = np.zeros((op.dimension, len(pairs)), dtype=dtype)
     for j, (b, c) in enumerate(pairs):
-        _, block_vecs, _, idx = solved[b]
-        vecs[idx, j] = block_vecs[:, c]
+        _, block_vecs, _, sector = solved[b]
+        vecs[sector.indices, j] = block_vecs[:, c]
     vals = np.array([solved[b][0][c] for b, c in pairs])
     residual = dict(zip(pairs, _residuals(op, vals, vecs)))
     return np.array([v for v, _, _ in copies]), [residual[b, c] for _, b, c in copies]
@@ -338,24 +323,28 @@ def lowest_eigenvalue(op, config: EigenSolveConfig | None = None) -> float:
     config = config or DEFAULT_CONFIG
     return min(
         float(_block_lowest(op, sector, config, -np.inf, _unit_weights)[0][0])
-        for sector, _, _ in _sectors(op)
+        for sector, _ in _sectors(op)
     )
 
 
 def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | None = None) -> GapReport:
     """Smallest eigenvalue above kernel_tol, over the blocks of `_sectors`.
 
-    Each block gives its lowest pairs (`_block_lowest`): by dense subset eigh
-    on the block placed straight into a dense array when the operator's
-    whole dimension is at most config.dense_limit, else by ARPACK on the
-    block's CSR.  kernel_dim = the summed weight (1 per
-    pair, or 2S+1 per central pair) at or below kernel_tol, and the report
-    holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
+    Each block gives its lowest pairs (`_block_lowest`), all on one path:
+    "dense", subset eigh on the block placed straight into a dense array,
+    when the operator's whole dimension is at most config.dense_limit, else
+    "iterative", ARPACK on the block's CSR.  kernel_dim = the summed weight
+    (1 per pair, or 2S+1 per central pair) at or below kernel_tol, and the
+    report holds the lowest max(config.k, kernel_dim + 1) eigenvalues, each
     repeated by its weight, with residuals of the eigenvectors embedded
-    back into the full space.  gap = the first of them above the kernel.
+    back into the full space (`_merge_lowest`).  gap = the first of them
+    above the kernel.
     """
     config = config or DEFAULT_CONFIG
-    solved, method = _solve_blocks(op, config, kernel_tol)
+    solved = [
+        (*_block_lowest(op, sector, config, kernel_tol, weigh), sector)
+        for sector, weigh in _sectors(op)
+    ]
     kernel_dim = sum(int(w[vals <= kernel_tol].sum()) for vals, _, w, _ in solved)
     if all(vals[-1] <= kernel_tol for vals, _, _, _ in solved):
         raise GapUndefinedError(
@@ -367,7 +356,7 @@ def spectral_gap(op, kernel_tol: float = KERNEL_TOL, config: EigenSolveConfig | 
         residuals=residuals,
         kernel_dim=kernel_dim,
         gap=float(vals[kernel_dim]),
-        method=method,
+        method="iterative" if op.dimension > config.dense_limit else "dense",
         k_used=len(vals),
     )
 

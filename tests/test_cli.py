@@ -2,7 +2,6 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,10 +245,7 @@ class TestExitCodes:
     def test_unconverged_lanczos_is_numerical_failure(self, capsys, monkeypatch):
         # one ARPACK iteration converges at most a few Ritz pairs of the 8-site
         # chain; that is a solver failure (exit 2), never a partial spectrum
-        solver_config = cli._solver_config
-        monkeypatch.setattr(
-            cli, "_solver_config", lambda cfg: replace(solver_config(cfg), max_iter=1)
-        )
+        monkeypatch.setattr(spectral, "MAX_ITER", 1)
         rc, out, err = run(
             capsys, "gap", "--model", "heisenberg-ferro", "--D", "1", "--n", "7",
             "--dense-limit", "1",

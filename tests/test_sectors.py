@@ -2,6 +2,8 @@
 the charge check on models and model files, and the kernel counts the
 sectors make exact on the iterative path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -125,7 +127,8 @@ class TestBlockAssembly:
         full = one_block(H).block(Sector(m, H.d))
         blocks = list(_sectors(H))
         assert len(blocks) == (1 if H.raising is not None else 2 * m * max(H.charges) + 1)
-        for sector, idx, _ in blocks:
+        for sector, _ in blocks:
+            idx = sector.indices
             B, want = H.block(sector), full[idx][:, idx]
             assert B.dtype == want.dtype == H.dtype
             assert np.array_equal(B.toarray(), want.toarray())
@@ -202,7 +205,7 @@ def test_charged_gap_builds_no_full_csr(capsys, monkeypatch, tmp_path):
     place = operators._placed
 
     def spy(M, pos, cols, rows):
-        full_space.append(cols.charges is None)
+        full_space.append(cols.size == cols.d**cols.m)
         return place(M, pos, cols, rows)
 
     monkeypatch.setattr(operators, "_placed", spy)
@@ -245,13 +248,34 @@ class TestBlocks:
         # charges without S+, so every block is solved
         H = hamiltonian(heisenberg_ferro(), 1, 6, False)
         blocks = list(_sectors(ManyBodyOperator(H.site_list, H.d, H.terms, H.charges)))
-        assert [sector.size for sector, _, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
-        covered = np.sort(np.concatenate([idx for _, idx, _ in blocks]))
+        assert [sector.size for sector, _ in blocks] == [1, 6, 15, 20, 15, 6, 1]
+        covered = np.sort(np.concatenate([sector.indices for sector, _ in blocks]))
         assert (covered == np.arange(H.dimension)).all()
 
     def test_no_charges_is_one_block(self):
         H = one_block(hamiltonian(heisenberg_ferro(), 1, 4, False))
-        assert [sector.size for sector, _, _ in _sectors(H)] == [16]
+        assert [sector.size for sector, _ in _sectors(H)] == [16]
+
+    def test_whole_basis_is_the_charge_zero_sector(self):
+        # Sector(m, d) is a sector like any other, with every charge 0, and it
+        # is the one block of an operator without charges
+        assert np.array_equal(Sector(3, 3).indices, np.arange(27))
+        H = one_block(hamiltonian(heisenberg_ferro(), 1, 4, False))
+        [(sector, weigh)] = _sectors(H)
+        assert np.array_equal(sector.indices, np.arange(16))
+        assert weigh is spectral._unit_weights
+
+    def test_sector_keeps_only_its_indices(self):
+        # nothing is stored per site: a built sector holds its indices and a
+        # few arrays of m entries, and its label array is freed
+        tracemalloc.start()
+        try:
+            sector = Sector(20, 2, (1, -1), 0)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sector.size == 184756
+        assert kept <= sector.indices.nbytes + 64 * 1024
 
     def test_all_kernel_blocks_undefined(self):
         # every block is pure kernel, so there is no gap anywhere

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from gapcert import spectral
 from gapcert.criteria import per_box_bound_witness
 from gapcert.lattice import grid_edges, grid_sites
 from gapcert.models import aklt, heisenberg_ferro, random_projection
@@ -86,9 +87,10 @@ class TestLowestEigenvalues:
             for op in (H, plain):
                 assert abs(lowest_eigenvalue(op, cfg) - want[0]) <= atol
 
-    def test_no_convergence_raises(self):
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_ITER", 1)
         H = ferro_chain(8)
-        cfg = EigenSolveConfig(k=8, dense_limit=1, max_iter=1)
+        cfg = EigenSolveConfig(k=8, dense_limit=1)
         with pytest.raises(SolverConvergenceError):
             spectral_gap(H, -np.inf, cfg)
         with pytest.raises(SolverConvergenceError):
@@ -138,12 +140,13 @@ class TestSpectralGap:
         with pytest.raises(GapUndefinedError):
             spectral_gap(diag_op([0.0, 0.0, 0.0]))
 
-    def test_zero_operator_iterative(self):
+    def test_zero_operator_iterative(self, monkeypatch):
         # ARPACK refuses the zero block (its start vector maps to zero), and a
         # refused block this small is solved densely: the dense path's outcome
+        monkeypatch.setattr(spectral, "MAX_K", 4)
         op = ManyBodyOperator([(0,), (1,), (2,)], 2, [])
         with pytest.raises(GapUndefinedError):
-            spectral_gap(op, config=EigenSolveConfig(k=2, dense_limit=1, max_k=4))
+            spectral_gap(op, config=EigenSolveConfig(k=2, dense_limit=1))
 
     def test_large_zero_operator_is_solver_error(self):
         # past DEFAULT_DENSE_LIMIT states a refused block has no dense fallback
@@ -151,13 +154,12 @@ class TestSpectralGap:
         with pytest.raises(SolverConvergenceError, match="ARPACK could not iterate at dim 8192"):
             spectral_gap(op)
 
-    def test_no_convergence_is_solver_error(self):
+    def test_no_convergence_is_solver_error(self, monkeypatch):
         # the pairs one ARPACK iteration converges are not the lowest, so they
         # must not become gap candidates
+        monkeypatch.setattr(spectral, "MAX_ITER", 1)
         with pytest.raises(SolverConvergenceError):
-            spectral_gap(
-                ferro_chain(8), config=EigenSolveConfig(k=8, dense_limit=1, max_iter=1)
-            )
+            spectral_gap(ferro_chain(8), config=EigenSolveConfig(k=8, dense_limit=1))
 
 
 class TestDenseSubset:
@@ -172,16 +174,18 @@ class TestDenseSubset:
         full = scipy.linalg.eigh(dense_matrix(H), eigvals_only=True)
         assert_allclose(rep.eigenvalues, full[:12], rtol=0, atol=1e-12)
 
-    def test_full_spectrum_fallback(self):
-        # the max_k = 4 lowest pairs all lie in the 8-fold kernel
-        rep = spectral_gap(ferro_chain(7), config=EigenSolveConfig(max_k=4))
+    def test_full_spectrum_fallback(self, monkeypatch):
+        # the MAX_K = 4 lowest pairs all lie in the 8-fold kernel
+        monkeypatch.setattr(spectral, "MAX_K", 4)
+        rep = spectral_gap(ferro_chain(7))
         assert rep.method == "dense"
         assert rep.kernel_dim == 8
         assert_allclose(rep.gap, 0.0990311320976, rtol=0, atol=1e-12)
 
-    def test_all_kernel_after_fallback(self):
+    def test_all_kernel_after_fallback(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_K", 2)
         with pytest.raises(GapUndefinedError):
-            spectral_gap(diag_op([0.0] * 6), config=EigenSolveConfig(k=2, max_k=2))
+            spectral_gap(diag_op([0.0] * 6), config=EigenSolveConfig(k=2))
 
     def test_one_dense_array_per_solve(self):
         # LAPACK overwrites a Fortran-ordered array in place; a C-ordered one

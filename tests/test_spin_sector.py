@@ -21,8 +21,9 @@ from gapcert.operators import (
 from gapcert.spectral import (
     KERNEL_TOL,
     EigenSolveConfig,
+    _block_lowest,
     _residuals,
-    _solve_blocks,
+    _sectors,
     lowest_eigenvalue,
     spectral_gap,
 )
@@ -134,7 +135,8 @@ def test_raised_adds_image_rows_that_repeat_within_a_site():
 def test_aklt_open_kernel_is_singlet_plus_triplet():
     # the open AKLT chain's four ground states are S = 0 and S = 1
     H = chain(aklt(), 6)
-    [(vals, _, weights, _)], _ = _solve_blocks(H, EigenSolveConfig(), KERNEL_TOL)
+    [(sector, weigh)] = _sectors(H)
+    vals, _, weights = _block_lowest(H, sector, EigenSolveConfig(), KERNEL_TOL, weigh)
     assert sorted(weights[vals <= KERNEL_TOL].tolist()) == [1, 3]
     assert spectral_gap(H).kernel_dim == 4
 
